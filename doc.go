@@ -62,41 +62,51 @@
 //	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(fast))
 //
 // The blocked backend is the software analogue of the paper's
-// one-clock membership test. The hardware answers all k hash probes in
-// a single cycle because its bit-vectors are physically parallel RAMs
-// (§3.1); the blocked filter gets the same effect from the cache
-// hierarchy: the first H3 hash selects one 64-byte block — a single
-// cache line — and the remaining k−1 hashes select bits inside it, so
-// a membership test costs one line fill regardless of k. The filters
-// of all L languages are fused into one structure, laid out
-// block-major and language-minor with one shared hash stage:
+// one-clock membership test. The hardware reads its k bit-vector RAMs
+// once per n-gram and tests every language classifier in the same
+// clock (§3.1, Figure 1). The blocked filter does the same with
+// bit-sliced language lanes: the first H3 hash selects one 512-bit
+// block, the remaining k−1 hashes select bits inside it, and for each
+// (block, bit) position the filters of all L languages are stored as
+// one L-bit lane word (8, 16, 32 or 64 bits, L rounded up) whose bit l
+// is language l's filter bit:
 //
-//	                 lang 0     lang 1         lang L-1
-//	block 0      [64 bytes] [64 bytes] ... [64 bytes]
-//	block 1      [64 bytes] [64 bytes] ... [64 bytes]
+//	              bit 0    bit 1          bit 511
+//	block 0     [L bits] [L bits] ... [L bits]
+//	block 1     [L bits] [L bits] ... [L bits]
 //	...
-//	block B-1    [64 bytes] [64 bytes] ... [64 bytes]
+//	block B-1   [L bits] [L bits] ... [L bits]
 //
-//	n-gram g:  h0(g) picks the block row — computed once —
-//	           h1..h(k-1)(g) pick the probe bits — computed once —
-//	           then the L adjacent blocks of that row are tested in
-//	           sequence: one pass over L consecutive cache lines
-//	           scores every language (AccumulateInto).
+//	n-gram g:  one folded H3 lookup (4 byte-table reads) yields
+//	           h0(g), the block row, and h1..h(k-1)(g), the probe bits;
+//	           the AND of those k−1 lane words is g's L-bit hit mask —
+//	           bit l set iff language l's filter accepts g;
+//	           a byte-lane vertical counter adds the masks into the
+//	           per-language counts (AccumulateInto).
+//
+// The direct backend scores the same way over exact membership: a
+// union bitset over the packed n-gram space, a rank directory, and one
+// L-bit language mask per distinct profile n-gram (~280 KB at N=4 and
+// L=10). Both fused kernels hold at most 64 languages; construction
+// fails above that with an error naming parallel-bloom, which has no
+// such limit. The serialized blocked layout (NGBK, embedded in NGPS v2
+// profile files) stays block-major — language by language, eight
+// 64-bit words per block — and is transposed to lanes on read and back
+// on write, so files are byte-identical across the layout change.
 //
 // Per-language filters are sized (power-of-two block count) so the
 // modelled false-positive rate at full profile load is no worse than
-// the parallel backend's §3.1 model under the same Config; the n-gram
-// scoring loop runs several times faster than the parallel backend
-// because hashing is shared across languages and probes never leave
-// one cache line per language. Prefer "blocked" for software serving
-// throughput; prefer "bloom" when simulated-hardware and software
-// classifications must share filter state bit-for-bit (the XD1000
-// simulator borrows the parallel filters); "direct" is exact
-// membership at a much larger memory footprint; "classic" exists as
-// an ablation. SaveProfilesBlocked embeds the programmed blocked
-// layout in the profile file (NGPS v2), so a daemon serving "blocked"
-// skips filter programming at startup; v1 files and legacy NGPF
-// streams remain readable, and damaged files fail with errors tagged
+// the parallel backend's §3.1 model under the same Config. Prefer
+// "blocked" or "direct" for software serving throughput: "direct" is
+// exact and the fastest per n-gram, "blocked" keeps the paper's Bloom
+// filter semantics in about as little memory. Prefer "bloom" when
+// simulated-hardware and software classifications must share filter
+// state bit-for-bit (the XD1000 simulator borrows the parallel
+// filters) or for more than 64 languages; "classic" exists as an
+// ablation. SaveProfilesBlocked embeds the programmed blocked layout
+// in the profile file (NGPS v2), so a daemon serving "blocked" skips
+// filter programming at startup; v1 files and legacy NGPF streams
+// remain readable, and damaged files fail with errors tagged
 // ErrCorruptProfiles.
 //
 // # Segmentation
@@ -115,8 +125,8 @@
 // runs it exactly once per document: the n-gram stream is cut into
 // Stride-sized chunks, each chunk's per-language counts accumulate
 // through the classifier's single counting pass (the fused blocked
-// kernel scores all languages per n-gram; the other backends walk
-// their Matcher loops), and a sliding window of Window n-grams is the
+// and direct kernels score all languages per n-gram; the parallel and
+// classic backends walk their Matcher loops), and a sliding window of Window n-grams is the
 // rolling sum of a Window/Stride-row ring — add the newest chunk,
 // subtract the oldest. No n-gram is ever re-extracted or re-hashed
 // for a second window, so on the blocked backend segmenting costs
@@ -276,14 +286,20 @@
 //	Classifier.Classify(doc)     -> Detector.Detect(doc)        (Match, not Result)
 //	Result.BestLanguage(langs)   -> Match.Lang                  ("" now means Unknown)
 //	Result.Margin()              -> Match.Margin                (normalized, float64)
-//	Result.Counts                -> Detector.Rank(doc, 0)       (ranked Matches)
+//	Result.Counts                -> Detector.DetectCounts(doc, counts)  (raw counts, pooled)
+//	                                or Detector.Rank(doc, 0)    (ranked Matches)
 //	NewEngine(clf, n)            -> NewDetector(ps, WithWorkers(n))
 //	Engine.ClassifyAll(docs)     -> Detector.DetectBatch(docs)
+//	                                or DetectBatchCounts(docs, counts) with counts
 //	Classifier.NewStream()       -> Detector.NewStream()        (Match-producing)
+//	DocumentStream.Result()      -> Stream.MatchCounts(counts)
 //	hand-rolled backend switch   -> ParseBackend(name)
 //
-// Raw per-language counts and corpus evaluation stay available through
-// (*Detector).Classifier and NewEngine (Evaluate/Measure); the
+// DetectCounts, DetectBatchCounts and the streams' MatchCounts write
+// Languages()-ordered counts into a caller-owned slice and, like
+// Detect, allocate nothing once warm; the serving layer uses them for
+// every counts-carrying response. Corpus evaluation stays available
+// through (*Detector).Classifier and NewEngine (Evaluate/Measure); the
 // simulator keeps borrowing the classifier's Bloom filters, so
 // hardware-simulated and software classifications still agree
 // bit-for-bit.

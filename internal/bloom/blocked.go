@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 
 	"bloomlang/internal/h3"
 )
@@ -15,17 +17,19 @@ import (
 // for an n-gram in a single cycle because the k bit-vectors are
 // physically parallel RAMs (§3.1). A cache-line-blocked filter gets
 // the same effect from a memory hierarchy: the first hash selects one
-// 64-byte block — a single cache line — and the remaining k−1 hashes
-// select bits inside that block, so the whole membership test costs
-// one line fill no matter how many probes follow.
+// 512-bit block and the remaining k−1 hashes select bits inside it, so
+// the probes of one membership test stay close together.
 //
-// BlockedSet fuses the filters of all L languages into one structure:
-// the per-language blocks for a given block index are laid out
-// contiguously (block-major, language-minor), so scoring one n-gram
-// against every language touches L consecutive cache lines and the k
-// hashes are computed once instead of once per language — the
-// software mirror of the hardware scoring all language classifiers
-// from one shared hash stage (Figure 1).
+// BlockedSet fuses the filters of all L languages into one structure
+// stored lane-major: for each (block, in-block bit) it keeps one L-bit
+// language lane word whose bit l is that bit of language l's filter.
+// Scoring one n-gram against every language is then one folded hash
+// evaluation and the AND of k−1 lane loads — the software mirror of
+// the hardware reading its k RAMs once and testing every language
+// classifier in the same clock (Figure 1). The serialized NGBK form
+// stays block-major (per language, per block, eight 64-bit words), so
+// the set is transposed on read and back on write and every filter bit
+// keeps its place.
 
 const (
 	// BlockBits is the block size: 512 bits = 64 bytes, one x86 cache
@@ -41,29 +45,32 @@ const (
 	// eight probes in 512 bits the filter saturates long before the
 	// probe loop is the problem.
 	maxProbes = 8
-	// maxBlocks bounds the per-language block count a constructor or
-	// reader will accept (2^22 blocks = 256 MiB per language).
+	// maxBlocks bounds the block count a constructor or reader will
+	// accept. The lane table takes blocks × 512 × lane-width bytes:
+	// at 2^22 blocks, 2 GiB for 8-bit lanes (1–8 languages) up to
+	// 16 GiB for 64-bit lanes (33–64 languages).
 	maxBlocks = 1 << 22
-	// maxSetLangs bounds the language count a reader will accept.
-	maxSetLangs = 1 << 16
+	// readBlocks is the most blocks ReadBlockedSet allocates lanes for
+	// before the stream has supplied their words; past it the table
+	// doubles as words arrive, so a header that claims more blocks
+	// than the stream holds cannot allocate the full table up front.
+	readBlocks = 1 << 12
 )
 
-// BlockedSet is the fused blocked Bloom filter of L languages: B
-// blocks of 512 bits per language, stored block-major and
-// language-minor, with one shared block-select hash and k−1 shared
-// in-block bit hashes (all from the H3 family, as in the hardware).
-// Sharing the hash functions across languages is what makes the
-// fused layout possible: one n-gram maps to the same block index b in
-// every language, and the L blocks at index b are adjacent in memory.
-// Each language's filter remains free of false negatives; false
-// positives stay independent across languages because each language
-// programs its own bit pattern.
+// BlockedSet is the fused blocked Bloom filter of L ≤ MaxLaneLangs
+// languages: B blocks of 512 bits per language, with one shared
+// block-select hash and k−1 shared in-block bit hashes (all from the
+// H3 family, as in the hardware). Sharing the hash functions across
+// languages is what makes the lane layout possible: one n-gram maps to
+// the same k−1 (block, bit) positions in every language, so one lane
+// word per position answers for all of them. Each language's filter
+// remains free of false negatives; false positives stay independent
+// across languages because each language programs its own bit pattern.
 type BlockedSet struct {
-	sel    *h3.Func   // block selector: log2(blocks) output bits
-	probe  []*h3.Func // k−1 in-block bit selectors: 9 output bits
-	words  []uint64   // blocks × langs × BlockWords, block-major
-	ns     []int      // per-language programmed element count
-	blocks uint32     // power of two ≥ 2
+	hash   *foldedHash
+	lanes  laneStore // blocks × BlockBits lane words
+	ns     []int     // per-language programmed element count
+	blocks uint32    // power of two ≥ 2
 	nLangs int
 	k      int
 	seed   int64
@@ -75,12 +82,17 @@ type BlockedSet struct {
 // inputBits-wide elements and blocks 512-bit blocks per language.
 // blocks must be a power of two so the selector hash addresses blocks
 // directly, exactly as the parallel variant addresses its vectors.
+// langs may not exceed MaxLaneLangs.
 func NewBlockedSet(langs, k int, inputBits uint, blocks uint32, seed int64) (*BlockedSet, error) {
-	if langs < 1 {
-		return nil, fmt.Errorf("bloom: blocked set needs at least one language, got %d", langs)
-	}
-	if langs > maxSetLangs {
-		return nil, fmt.Errorf("bloom: blocked set language count %d exceeds %d", langs, maxSetLangs)
+	return newBlockedSet(langs, k, inputBits, blocks, seed, blocks)
+}
+
+// newBlockedSet is NewBlockedSet with lanes allocated for only the
+// first alloc blocks; the reader grows the rest as words arrive.
+func newBlockedSet(langs, k int, inputBits uint, blocks uint32, seed int64, alloc uint32) (*BlockedSet, error) {
+	laneBits, err := LaneBits(langs)
+	if err != nil {
+		return nil, err
 	}
 	if k < 2 || k > 1+maxProbes {
 		return nil, fmt.Errorf("bloom: blocked filter needs k in [2,%d] (one block-select hash plus k-1 bit probes), got k=%d", 1+maxProbes, k)
@@ -91,10 +103,7 @@ func NewBlockedSet(langs, k int, inputBits uint, blocks uint32, seed int64) (*Bl
 	if blocks > maxBlocks {
 		return nil, fmt.Errorf("bloom: block count %d exceeds %d", blocks, maxBlocks)
 	}
-	addrBits := uint(0)
-	for 1<<addrBits < blocks {
-		addrBits++
-	}
+	addrBits := uint(bits.TrailingZeros32(blocks))
 	selFam, err := h3.NewFamily(1, inputBits, addrBits, seed)
 	if err != nil {
 		return nil, err
@@ -103,22 +112,174 @@ func NewBlockedSet(langs, k int, inputBits uint, blocks uint32, seed int64) (*Bl
 	if err != nil {
 		return nil, err
 	}
-	s := &BlockedSet{
-		sel:    selFam.Func(0),
-		probe:  make([]*h3.Func, k-1),
-		words:  make([]uint64, int(blocks)*langs*BlockWords),
+	probes := make([]*h3.Func, k-1)
+	for i := range probes {
+		probes[i] = probeFam.Func(i)
+	}
+	return &BlockedSet{
+		hash:   foldHashes(selFam.Func(0), probes, addrBits),
+		lanes:  newLaneStore(laneBits, int(min(alloc, blocks))*BlockBits),
 		ns:     make([]int, langs),
 		blocks: blocks,
 		nLangs: langs,
 		k:      k,
 		seed:   seed,
 		inBits: inputBits,
-	}
-	for i := range s.probe {
-		s.probe[i] = probeFam.Func(i)
-	}
-	return s, nil
+	}, nil
 }
+
+// foldedHash is the block selector and the k−1 in-block probe hashes
+// folded into one H3 evaluation. H3 is linear over GF(2), so
+// concatenating the outputs of several members is itself an H3 hash:
+// one byte-table with packed 64-bit entries — selector in the low
+// selBits bits, then 9 bits per probe — yields every hash of an n-gram
+// from four lookups instead of 4k, with the same hash values bit for
+// bit. Probes that do not fit in 64 bits after the selector (large k
+// with many blocks) go to a second table.
+type foldedHash struct {
+	lo      [4][256]uint64
+	hi      *[4][256]uint64 // probes split.. when split < probes
+	selBits uint
+	selMask uint64
+	probes  int // k−1
+	split   int // probes packed into lo
+}
+
+func foldHashes(sel *h3.Func, probes []*h3.Func, selBits uint) *foldedHash {
+	f := &foldedHash{
+		selBits: selBits,
+		selMask: 1<<selBits - 1,
+		probes:  len(probes),
+		split:   min(len(probes), int(64-selBits)/blockBitAddr),
+	}
+	if f.split < f.probes {
+		f.hi = new([4][256]uint64)
+	}
+	// By linearity, entry [c][v] is the hash of byte v placed at byte
+	// position c, and a word's hash is the XOR of its four bytes'.
+	for c := 0; c < 4; c++ {
+		for v := 0; v < 256; v++ {
+			x := uint32(v) << (8 * c)
+			f.lo[c][v] = uint64(sel.Hash(x))
+			for p, pf := range probes {
+				h := uint64(pf.Hash(x))
+				if p < f.split {
+					f.lo[c][v] |= h << (selBits + uint(p)*blockBitAddr)
+				} else {
+					f.hi[c][v] |= h << (uint(p-f.split) * blockBitAddr)
+				}
+			}
+		}
+	}
+	return f
+}
+
+// probeLanes writes the lane index (block·BlockBits + in-block bit) of
+// each of g's k−1 probes into dst and returns them.
+func (f *foldedHash) probeLanes(dst *[maxProbes]uint, g uint32) []uint {
+	b0, b1, b2, b3 := g&0xFF, g>>8&0xFF, g>>16&0xFF, g>>24
+	h := f.lo[0][b0] ^ f.lo[1][b1] ^ f.lo[2][b2] ^ f.lo[3][b3]
+	base := uint(h&f.selMask) << blockBitAddr
+	h >>= f.selBits
+	for p := 0; p < f.probes; p++ {
+		if p == f.split {
+			h = f.hi[0][b0] ^ f.hi[1][b1] ^ f.hi[2][b2] ^ f.hi[3][b3]
+		}
+		dst[p] = base | uint(h)&(BlockBits-1)
+		h >>= blockBitAddr
+	}
+	return dst[:f.probes]
+}
+
+// laneStore holds a BlockedSet's lane words at the width its language
+// count needs; laneTable is the only implementation, instantiated per
+// width. Only the scoring kernel is specialized per width; everything
+// else reads and sets lanes through lane and or.
+type laneStore interface {
+	accumulate(counts []int, gs []uint32, f *foldedHash)
+	addAll(bit uint64, gs []uint32, f *foldedHash)
+	lane(i uint) uint64
+	or(i uint, bits uint64)
+	reset()
+	len() int
+	grow(n int) laneStore // the table extended to n zero-filled lanes
+}
+
+func newLaneStore(laneBits, n int) laneStore {
+	switch laneBits {
+	case 8:
+		return make(laneTable[uint8], n)
+	case 16:
+		return make(laneTable[uint16], n)
+	case 32:
+		return make(laneTable[uint32], n)
+	}
+	return make(laneTable[uint64], n)
+}
+
+// laneTable is one lane word per (block, in-block bit), block-major.
+type laneTable[T Lane] []T
+
+// accumulate is the fused scoring kernel: each n-gram's hit mask is
+// the AND of its k−1 lane words, and each chunk of masks is counted by
+// the byte-lane vertical counter.
+func (t laneTable[T]) accumulate(counts []int, gs []uint32, f *foldedHash) {
+	var masks [MaskChunk]T
+	for len(gs) > 0 {
+		n := min(len(gs), MaskChunk)
+		t.hitMasks(masks[:n], gs[:n], f)
+		CountMasks(counts, masks[:n])
+		gs = gs[n:]
+	}
+}
+
+// hitMasks sets masks[i] to the AND of gs[i]'s k−1 lane words. It is
+// probeLanes inlined by hand and kept small enough for the register
+// allocator: this loop is where scoring time goes.
+func (t laneTable[T]) hitMasks(masks []T, gs []uint32, f *foldedHash) {
+	lo := &f.lo
+	selMask, selBits, split := f.selMask, f.selBits, f.split
+	masks = masks[:len(gs)]
+	for i, g := range gs {
+		h := lo[0][g&0xFF] ^ lo[1][g>>8&0xFF] ^ lo[2][g>>16&0xFF] ^ lo[3][g>>24]
+		base := uint(h&selMask) << blockBitAddr
+		h >>= selBits
+		m := ^T(0)
+		for p := 0; p < split; p++ {
+			m &= t[base|uint(h)&(BlockBits-1)]
+			h >>= blockBitAddr
+		}
+		masks[i] = m
+	}
+	if f.hi == nil {
+		return
+	}
+	// The probes that did not fit beside the selector in one word.
+	var idx [maxProbes]uint
+	for i, g := range gs {
+		for _, li := range f.probeLanes(&idx, g)[split:] {
+			masks[i] &= t[li]
+		}
+	}
+}
+
+// addAll sets bit in the k−1 lane words of every n-gram of gs: the
+// bulk form of BlockedSet.Add, one interface call per profile rather
+// than per probe.
+func (t laneTable[T]) addAll(bit uint64, gs []uint32, f *foldedHash) {
+	var idx [maxProbes]uint
+	for _, g := range gs {
+		for _, li := range f.probeLanes(&idx, g) {
+			t[li] |= T(bit)
+		}
+	}
+}
+
+func (t laneTable[T]) lane(i uint) uint64     { return uint64(t[i]) }
+func (t laneTable[T]) or(i uint, bits uint64) { t[i] |= T(bits) }
+func (t laneTable[T]) reset()                 { clear(t) }
+func (t laneTable[T]) len() int               { return len(t) }
+func (t laneTable[T]) grow(n int) laneStore   { return slices.Grow(t, n-len(t))[:n] }
 
 // Langs returns the number of fused languages.
 func (s *BlockedSet) Langs() int { return s.nLangs }
@@ -144,20 +305,17 @@ func (s *BlockedSet) InputBits() uint { return s.inBits }
 // Add programs element g into language lang's filter: the selector
 // hash picks the block, every probe hash sets one bit inside it.
 func (s *BlockedSet) Add(lang int, g uint32) {
-	base := (int(s.sel.Hash(g))*s.nLangs + lang) * BlockWords
-	blk := s.words[base : base+BlockWords : base+BlockWords]
-	for _, f := range s.probe {
-		h := f.Hash(g)
-		blk[h>>6] |= 1 << (h & 63)
+	var idx [maxProbes]uint
+	for _, li := range s.hash.probeLanes(&idx, g) {
+		s.lanes.or(li, 1<<lang)
 	}
 	s.ns[lang]++
 }
 
 // AddAll programs every element of gs into language lang.
 func (s *BlockedSet) AddAll(lang int, gs []uint32) {
-	for _, g := range gs {
-		s.Add(lang, g)
-	}
+	s.lanes.addAll(1<<lang, gs, s.hash)
+	s.ns[lang] += len(gs)
 }
 
 // Test reports whether g may be a member of language lang's filter. A
@@ -165,11 +323,9 @@ func (s *BlockedSet) AddAll(lang int, gs []uint32) {
 // Add sets exactly the bits Test probes, so the filter never produces
 // a false negative.
 func (s *BlockedSet) Test(lang int, g uint32) bool {
-	base := (int(s.sel.Hash(g))*s.nLangs + lang) * BlockWords
-	blk := s.words[base : base+BlockWords : base+BlockWords]
-	for _, f := range s.probe {
-		h := f.Hash(g)
-		if blk[h>>6]&(1<<(h&63)) == 0 {
+	var idx [maxProbes]uint
+	for _, li := range s.hash.probeLanes(&idx, g) {
+		if s.lanes.lane(li)>>lang&1 == 0 {
 			return false
 		}
 	}
@@ -177,96 +333,54 @@ func (s *BlockedSet) Test(lang int, g uint32) bool {
 }
 
 // AccumulateInto is the fused scoring kernel: for every n-gram in gs
-// it tests all L languages in one pass, adding each language's match
-// count into counts (len >= Langs). The k hashes are computed once
-// per n-gram; the L per-language blocks share a block index and sit
-// on consecutive cache lines. It allocates nothing.
+// it tests all L languages at once — one folded hash, the AND of k−1
+// lane words — and adds each language's match count into counts
+// (len >= Langs). It allocates nothing.
 func (s *BlockedSet) AccumulateInto(counts []int, gs []uint32) {
-	L := s.nLangs
-	_ = counts[L-1]
-	if len(s.probe) == 3 {
-		s.accumulate3(counts, gs)
-		return
-	}
-	words := s.words
-	stride := L * BlockWords
-	var wi [maxProbes]uint32
-	var mask [maxProbes]uint64
-	j := len(s.probe)
-	for _, g := range gs {
-		base := int(s.sel.Hash(g)) * stride
-		for p := 0; p < j; p++ {
-			h := s.probe[p].Hash(g)
-			wi[p] = h >> 6
-			mask[p] = 1 << (h & 63)
-		}
-		for lang := 0; lang < L; lang++ {
-			blk := words[base : base+BlockWords : base+BlockWords]
-			hit := true
-			for p := 0; p < j; p++ {
-				if blk[wi[p]]&mask[p] == 0 {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				counts[lang]++
-			}
-			base += BlockWords
-		}
-	}
-}
-
-// accumulate3 is AccumulateInto specialized for the paper's default
-// k=4 (three in-block probes), with the probe loop unrolled.
-func (s *BlockedSet) accumulate3(counts []int, gs []uint32) {
-	words := s.words
-	L := s.nLangs
-	stride := L * BlockWords
-	sel, p0, p1, p2 := s.sel, s.probe[0], s.probe[1], s.probe[2]
-	for _, g := range gs {
-		base := int(sel.Hash(g)) * stride
-		a, b, c := p0.Hash(g), p1.Hash(g), p2.Hash(g)
-		w0, m0 := a>>6, uint64(1)<<(a&63)
-		w1, m1 := b>>6, uint64(1)<<(b&63)
-		w2, m2 := c>>6, uint64(1)<<(c&63)
-		for lang := 0; lang < L; lang++ {
-			blk := words[base : base+BlockWords : base+BlockWords]
-			if blk[w0]&m0 != 0 && blk[w1]&m1 != 0 && blk[w2]&m2 != 0 {
-				counts[lang]++
-			}
-			base += BlockWords
-		}
-	}
+	s.lanes.accumulate(counts[:s.nLangs], gs, s.hash)
 }
 
 // Reset clears every language's filter and programmed-element count.
 func (s *BlockedSet) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	for i := range s.ns {
-		s.ns[i] = 0
-	}
+	s.lanes.reset()
+	clear(s.ns)
 }
 
 // PopCount returns the number of set bits in language lang's filter.
 func (s *BlockedSet) PopCount(lang int) int {
 	n := 0
-	stride := s.nLangs * BlockWords
-	for b := 0; b < int(s.blocks); b++ {
-		base := b*stride + lang*BlockWords
-		for _, w := range s.words[base : base+BlockWords] {
-			n += popcount64(w)
-		}
+	for i := uint(0); i < uint(s.blocks)*BlockBits; i++ {
+		n += int(s.lanes.lane(i) >> lang & 1)
 	}
 	return n
+}
+
+// blockWords writes block b in the NGBK block-major layout:
+// dst[lang·BlockWords + w] is word w of language lang's block.
+func (s *BlockedSet) blockWords(dst []uint64, b int) {
+	clear(dst)
+	for i := 0; i < BlockBits; i++ {
+		for m := s.lanes.lane(uint(b*BlockBits + i)); m != 0; m &= m - 1 {
+			dst[bits.TrailingZeros64(m)*BlockWords+i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// setBlockWords ORs block b into the lanes from the NGBK block-major
+// layout of blockWords.
+func (s *BlockedSet) setBlockWords(b int, src []uint64) {
+	for j, w := range src {
+		lang, word := j/BlockWords, j%BlockWords
+		for ; w != 0; w &= w - 1 {
+			s.lanes.or(uint(b*BlockBits+word<<6+bits.TrailingZeros64(w)), 1<<lang)
+		}
+	}
 }
 
 // modelM is the per-probe bit budget the §3.1 parallel model sees:
 // the language's total bits split evenly across the k−1 probes.
 func (s *BlockedSet) modelM() uint32 {
-	return uint32(s.BitsPerLanguage() / uint64(len(s.probe)))
+	return uint32(s.BitsPerLanguage() / uint64(s.k-1))
 }
 
 // FalsePositiveRate returns the expected false positive rate of
@@ -277,7 +391,7 @@ func (s *BlockedSet) modelM() uint32 {
 // elements across blocks, which BlocksForTarget's safety factor
 // absorbs.
 func (s *BlockedSet) FalsePositiveRate(lang int) float64 {
-	return FalsePositiveRate(s.ns[lang], s.modelM(), len(s.probe))
+	return FalsePositiveRate(s.ns[lang], s.modelM(), s.k-1)
 }
 
 // blockSafety discounts the FPR target BlocksForTarget sizes for, to
@@ -412,8 +526,14 @@ func (s *BlockedSet) WriteTo(w io.Writer) (int64, error) {
 	if err := put(ns); err != nil {
 		return written, err
 	}
-	if err := put(s.words); err != nil {
-		return written, err
+	// The words go out block-major, transposed back from the lanes one
+	// block at a time.
+	words := make([]uint64, s.nLangs*BlockWords)
+	for b := 0; b < int(s.blocks); b++ {
+		s.blockWords(words, b)
+		if err := put(words); err != nil {
+			return written, err
+		}
 	}
 	return written, bw.Flush()
 }
@@ -442,10 +562,10 @@ func ReadBlockedSet(r io.Reader) (*BlockedSet, error) {
 	if hdr.Version != blockedSetVersion {
 		return nil, fmt.Errorf("bloom: unsupported blocked set version %d", hdr.Version)
 	}
-	if hdr.Langs == 0 || hdr.Langs > maxSetLangs {
-		return nil, fmt.Errorf("bloom: blocked set claims %d languages, refusing", hdr.Langs)
+	if _, err := LaneBits(int(hdr.Langs)); err != nil {
+		return nil, fmt.Errorf("bloom: blocked set header: %w", err)
 	}
-	s, err := NewBlockedSet(int(hdr.Langs), int(hdr.K), uint(hdr.InputBits), hdr.Blocks, hdr.Seed)
+	s, err := newBlockedSet(int(hdr.Langs), int(hdr.K), uint(hdr.InputBits), hdr.Blocks, hdr.Seed, readBlocks)
 	if err != nil {
 		return nil, fmt.Errorf("bloom: blocked set header invalid: %w", err)
 	}
@@ -456,8 +576,15 @@ func ReadBlockedSet(r io.Reader) (*BlockedSet, error) {
 		}
 		s.ns[i] = int(n)
 	}
-	if err := binary.Read(br, binary.LittleEndian, s.words); err != nil {
-		return nil, fmt.Errorf("bloom: reading blocked set words: %w", err)
+	words := make([]uint64, s.nLangs*BlockWords)
+	for b := 0; b < int(s.blocks); b++ {
+		if err := binary.Read(br, binary.LittleEndian, words); err != nil {
+			return nil, fmt.Errorf("bloom: reading blocked set words: %w", err)
+		}
+		if n := s.lanes.len(); (b+1)*BlockBits > n {
+			s.lanes = s.lanes.grow(min(2*n, int(s.blocks)*BlockBits))
+		}
+		s.setBlockWords(b, words)
 	}
 	return s, nil
 }

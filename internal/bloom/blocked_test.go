@@ -2,8 +2,10 @@ package bloom
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -134,8 +136,8 @@ func TestBlockedSetAccumulateMatchesTest(t *testing.T) {
 	}
 }
 
-// TestBlockedSetGenericProbeCountMatchesTest covers the generic
-// (non-unrolled) kernel path with k != 4.
+// TestBlockedSetGenericProbeCountMatchesTest covers the kernel with
+// probe counts other than the paper's k=4.
 func TestBlockedSetGenericProbeCountMatchesTest(t *testing.T) {
 	for _, k := range []int{2, 3, 6, 9} {
 		s, err := NewBlockedSet(3, k, 20, 64, 21)
@@ -330,5 +332,99 @@ func TestReadBlockedSetRejectsCorruptInput(t *testing.T) {
 		if _, err := ReadBlockedSet(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadBlockedSet accepted malformed input", name)
 		}
+	}
+}
+
+// TestBlockedSetWriteReadWriteIdentical pins the NGBK bytes across the
+// lane transposition: reading a set (block-major on disk, lane-major in
+// memory) and writing it again reproduces the file byte for byte, at
+// every lane width.
+func TestBlockedSetWriteReadWriteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, langs := range []int{1, 8, 9, 16, 17, 32, 33, 64} {
+		s, err := NewBlockedSet(langs, 5, 20, 8, int64(langs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lang := 0; lang < langs; lang++ {
+			for i := 0; i < 200; i++ {
+				s.Add(lang, rng.Uint32()&0xFFFFF)
+			}
+		}
+		var first bytes.Buffer
+		if _, err := s.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadBlockedSet(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var second bytes.Buffer
+		if _, err := got.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("L=%d: write→read→write changed the NGBK bytes", langs)
+		}
+		for lang := 0; lang < langs; lang++ {
+			if got.PopCount(lang) != s.PopCount(lang) {
+				t.Errorf("L=%d lang %d: popcount %d after reload, want %d", langs, lang, got.PopCount(lang), s.PopCount(lang))
+			}
+		}
+	}
+}
+
+// TestReadBlockedSetGrowsLanesPastReadBlocks round-trips a set larger
+// than the reader's first lane allocation, so the lanes grow while the
+// words arrive and every bit still lands in place.
+func TestReadBlockedSetGrowsLanesPastReadBlocks(t *testing.T) {
+	s, err := NewBlockedSet(3, 4, 20, 4*readBlocks, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for lang := 0; lang < 3; lang++ {
+		for i := 0; i < 20000; i++ {
+			s.Add(lang, rng.Uint32()&0xFFFFF)
+		}
+	}
+	var first, second bytes.Buffer
+	if _, err := s.WriteTo(&first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBlockedSet(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("write→read→write changed the NGBK bytes")
+	}
+}
+
+// TestReadBlockedSetTruncatedHeaderAllocatesLittle feeds a header that
+// claims the largest block count but supplies one block of words. The
+// read must fail without allocating the 2 GiB lane table the header
+// describes.
+func TestReadBlockedSetTruncatedHeaderAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(blockedSetMagic)
+	hdr := []any{uint8(blockedSetVersion), uint8(4), uint8(20), uint32(maxBlocks), uint32(1), int64(1), uint32(0)}
+	for _, v := range hdr {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Write(make([]byte, BlockWords*8))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBlockedSet(&buf); err == nil {
+		t.Fatal("ReadBlockedSet accepted a set with missing words")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("truncated read allocated %d MiB; want at most 64", got>>20)
 	}
 }

@@ -158,7 +158,7 @@ func (b Backend) builders() (BackendBuilder, SetBuilder, error) {
 // slots line up with the historical enum values.
 func init() {
 	bloomB := RegisterBackend("parallel-bloom", buildParallelBloom, "bloom")
-	directB := RegisterBackend("direct-lookup", buildDirectLookup, "direct")
+	directB := RegisterFusedBackend("direct-lookup", buildDirectLookup, "direct")
 	classicB := RegisterBackend("classic-bloom", buildClassicBloom, "classic")
 	blockedB := RegisterFusedBackend("blocked-bloom", buildBlocked, "blocked")
 	if bloomB != BackendBloom || directB != BackendDirect || classicB != BackendClassic || blockedB != BackendBlocked {
@@ -175,16 +175,6 @@ func buildParallelBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error
 	}
 	f.ProgramAll(p.Grams)
 	return f, nil
-}
-
-// buildDirectLookup is HAIL's design: an exact membership bitset over
-// the packed n-gram space.
-func buildDirectLookup(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	t := newDirectTable(ngram.Bits(cfg.N))
-	for _, g := range p.Grams {
-		t.add(g)
-	}
-	return t, nil
 }
 
 // buildClassicBloom is the ablation: one k·m-bit vector shared by all k
@@ -213,11 +203,11 @@ func blockedSeed(seed int64) int64 {
 	return seed + 982451653
 }
 
-// buildBlocked is the fourth backend: a cache-line-blocked Bloom
-// filter fused across all languages. The first hash selects a 512-bit
-// block, the remaining k−1 hashes select bits inside it, and the
-// per-language blocks for a block index are contiguous, so scoring
-// one n-gram touches L consecutive cache lines. The block count is
+// buildBlocked is the fourth backend: a blocked Bloom filter fused
+// across all languages. The first hash selects a 512-bit block, the
+// remaining k−1 hashes select bits inside it, and each (block, bit)
+// holds one L-bit language lane word, so scoring one n-gram against
+// every language is the AND of k−1 lane loads. The block count is
 // sized so the modelled false positive rate at full profile load
 // matches the parallel backend's §3.1 model at the same Config. A
 // profile set loaded from an NGPS v2 file may carry the programmed

@@ -189,30 +189,19 @@ type Backend int
 const (
 	// BackendBloom uses the paper's Parallel Bloom Filter.
 	BackendBloom Backend = iota
-	// BackendDirect uses an exact lookup table (HAIL's approach).
+	// BackendDirect uses an exact lookup table (HAIL's approach), fused
+	// across all languages: one L-bit language mask per distinct
+	// profile n-gram.
 	BackendDirect
 	// BackendClassic uses a classic single-vector Bloom filter with the
 	// same total bit budget (k·m bits) as the parallel variant.
 	BackendClassic
-	// BackendBlocked uses a cache-line-blocked Bloom filter fused
-	// across all languages: one 512-bit block per n-gram per language,
-	// all k probes inside it, per-language blocks contiguous so one
-	// n-gram's full scoring pass touches L consecutive cache lines.
+	// BackendBlocked uses a blocked Bloom filter fused across all
+	// languages: one 512-bit block per n-gram, all k−1 probes inside
+	// it, and one L-bit language lane word per (block, bit), so one
+	// n-gram's full scoring pass is the AND of k−1 lane loads.
 	BackendBlocked
 )
-
-// directTable is an exact membership bitset over the packed n-gram
-// space, the software equivalent of HAIL's off-chip SRAM table.
-type directTable struct {
-	bits []uint64
-}
-
-func newDirectTable(nBits uint) *directTable {
-	return &directTable{bits: make([]uint64, (uint64(1)<<nBits+63)/64)}
-}
-
-func (d *directTable) add(g uint32)       { d.bits[g>>6] |= 1 << (g & 63) }
-func (d *directTable) Test(g uint32) bool { return d.bits[g>>6]&(1<<(g&63)) != 0 }
 
 // Classifier tests document n-grams against every language profile in
 // turn and reports match counts — the software realization of the

@@ -175,15 +175,28 @@ func (d *Detector) MinNGrams() int { return d.minNGrams }
 // scratch pool, so a warm call allocates nothing.
 func (d *Detector) Detect(doc []byte) Match {
 	s := d.pool.Get().(*scratch)
-	m := d.detectInto(s, doc)
+	m := d.detectInto(s, doc, s.counts)
 	d.pool.Put(s)
 	return m
 }
 
-func (d *Detector) detectInto(s *scratch, doc []byte) Match {
+// DetectCounts is Detect for callers that also need the raw
+// per-language match counts: it writes them into counts (len at least
+// len(Languages()), in Languages() order) and returns the same Match
+// Detect would. Like Detect, a warm call allocates nothing.
+func (d *Detector) DetectCounts(doc []byte, counts []int) Match {
+	s := d.pool.Get().(*scratch)
+	m := d.detectInto(s, doc, counts[:len(d.clf.langs)])
+	d.pool.Put(s)
+	return m
+}
+
+// detectInto detects doc with s's code and n-gram buffers, leaving the
+// per-language counts in counts.
+func (d *Detector) detectInto(s *scratch, doc []byte, counts []int) Match {
 	s.grams, s.codes = d.clf.extractInto(s.grams[:0], s.codes, doc)
-	d.clf.countInto(s.counts, s.grams)
-	return d.match(s.counts, len(s.grams))
+	d.clf.countInto(counts, s.grams)
+	return d.match(counts, len(s.grams))
 }
 
 // match applies winner selection and the unknown policy to a finished
@@ -266,7 +279,16 @@ func (d *Detector) rankCounts(counts []int, ngrams, k int) []Match {
 // paper's hardware, with each worker holding one scratch set for the
 // whole batch.
 func (d *Detector) DetectBatch(docs []corpus.Document) []Match {
+	return d.DetectBatchCounts(docs, nil)
+}
+
+// DetectBatchCounts is DetectBatch that also reports each document's
+// raw per-language match counts: row i of counts (the len(Languages())
+// entries from i·len(Languages())) receives document i's counts. counts
+// must hold len(docs)·len(Languages()) entries, or be nil to skip them.
+func (d *Detector) DetectBatchCounts(docs []corpus.Document, counts []int) []Match {
 	out := make([]Match, len(docs))
+	nLangs := len(d.clf.langs)
 	if len(docs) == 0 {
 		return out
 	}
@@ -282,7 +304,11 @@ func (d *Detector) DetectBatch(docs []corpus.Document) []Match {
 			defer wg.Done()
 			s := d.pool.Get().(*scratch)
 			for i := range next {
-				out[i] = d.detectInto(s, docs[i].Text)
+				row := s.counts
+				if counts != nil {
+					row = counts[i*nLangs : (i+1)*nLangs]
+				}
+				out[i] = d.detectInto(s, docs[i].Text, row)
 			}
 			d.pool.Put(s)
 		}()
@@ -328,6 +354,14 @@ func (s *Stream) Write(p []byte) (int, error) { return s.ds.Write(p) }
 // Match returns the detection over everything written so far; the
 // stream stays usable for more chunks.
 func (s *Stream) Match() Match { return s.d.match(s.ds.counts, s.ds.ngrams) }
+
+// MatchCounts is Match that also copies the raw per-language match
+// counts so far into counts (len at least len(Languages()), in
+// Languages() order). It allocates nothing.
+func (s *Stream) MatchCounts(counts []int) Match {
+	copy(counts[:len(s.ds.counts)], s.ds.counts)
+	return s.Match()
+}
 
 // Result returns the legacy per-language counter view of the stream,
 // for callers that need raw counts alongside the Match.

@@ -288,5 +288,56 @@ func TestDetectZeroAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { det.Detect(doc) }); allocs != 0 {
 			t.Errorf("%s: Detect allocates %.1f objects per call, want 0", backend, allocs)
 		}
+		counts := make([]int, len(det.Languages()))
+		if allocs := testing.AllocsPerRun(200, func() { det.DetectCounts(doc, counts) }); allocs != 0 {
+			t.Errorf("%s: DetectCounts allocates %.1f objects per call, want 0", backend, allocs)
+		}
+	}
+}
+
+// TestCountsPathsAgree checks every raw-counts entry point —
+// DetectCounts, DetectBatchCounts, Stream.MatchCounts and
+// SpanStream.MatchCounts — against Classifier.Classify's counts and
+// Detect's Match, on every backend.
+func TestCountsPathsAgree(t *testing.T) {
+	ps := trainMini(t, Config{TopT: 1000})
+	corp := getMiniCorpus(t)
+	var docs []corpus.Document
+	for _, lang := range []string{"en", "es", "fi", "pt"} {
+		docs = append(docs, corp.Test[lang][:3]...)
+	}
+	docs = append(docs, corpus.Document{Text: []byte("")})
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+		det, err := NewDetector(ps, WithBackend(backend), WithWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := len(det.Languages())
+		batchCounts := make([]int, len(docs)*L)
+		batch := det.DetectBatchCounts(docs, batchCounts)
+		st := det.NewStream()
+		spans, err := det.NewSpanStream(SegmentConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, doc := range docs {
+			want := det.Classifier().Classify(doc.Text).Counts
+			wantMatch := det.Detect(doc.Text)
+			counts := make([]int, L)
+			check := func(path string, m Match, got []int) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) || m != wantMatch {
+					t.Errorf("%v doc %d %s: %+v %v, want %+v %v", backend, i, path, m, got, wantMatch, want)
+				}
+			}
+			check("DetectCounts", det.DetectCounts(doc.Text, counts), counts)
+			check("DetectBatchCounts", batch[i], batchCounts[i*L:(i+1)*L])
+			st.Reset()
+			st.Write(doc.Text)
+			check("Stream.MatchCounts", st.MatchCounts(counts), counts)
+			spans.Reset()
+			spans.Write(doc.Text)
+			check("SpanStream.MatchCounts", spans.MatchCounts(counts), counts)
+		}
 	}
 }

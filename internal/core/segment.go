@@ -9,14 +9,14 @@ package core
 // The mechanism reuses the match-counting inner loop unchanged and runs
 // it exactly once per document. The n-gram stream is cut into stride-
 // sized chunks; each chunk's per-language counts are accumulated through
-// the classifier's one accumulateInto pass (the fused blocked kernel
-// scores all languages per n-gram in that pass, the Matcher-shaped
-// backends walk their languages×grams loop) into a ring of Window/Stride
-// rows. A sliding window of Window n-grams is then the rolling sum of
-// the ring — adding the newest chunk row and subtracting the oldest —
-// so per-window scoring costs O(L) per stride regardless of window
-// size, and no n-gram is ever re-extracted or re-hashed for a second
-// window. Window arg-max decisions pass through hysteresis (a new
+// the classifier's one accumulateInto pass (the fused blocked and direct
+// kernels score all languages per n-gram in that pass, the
+// Matcher-shaped backends walk their languages×grams loop) into a ring
+// of Window/Stride rows. A sliding window of Window n-grams is then the
+// rolling sum of the ring — adding the newest chunk row and subtracting
+// the oldest — so per-window scoring costs O(L) per stride regardless
+// of window size, and no n-gram is ever re-extracted or re-hashed for a
+// second window. Window arg-max decisions pass through hysteresis (a new
 // language must win Hysteresis consecutive windows before a boundary is
 // emitted) and adjacent same-language windows merge into Spans.
 
@@ -574,16 +574,22 @@ func (s *SpanStream) Finish() []Span {
 // serving layer's /stream spans mode) pays for one counting pass, not
 // two.
 func (s *SpanStream) Match() Match {
-	counts := s.totals
+	return s.MatchCounts(s.scratchCounts())
+}
+
+// MatchCounts is Match that also writes the raw whole-document
+// per-language match counts so far into counts (len at least
+// len(Languages()), in Languages() order). It allocates nothing.
+func (s *SpanStream) MatchCounts(counts []int) Match {
+	counts = counts[:s.langs]
+	clear(counts)
 	if s.chunkFill > 0 {
-		// Fold the buffered tail into a scratch copy; the tail's real
-		// pass happens when its chunk completes or at Finish.
-		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range s.totals {
-			tmp[i] += v
-		}
-		counts = tmp
+		// Fold the buffered tail into the copy; the tail's real pass
+		// happens when its chunk completes or at Finish.
+		s.d.clf.accumulateInto(counts, s.chunkBuf[:s.chunkFill])
+	}
+	for i, v := range s.totals {
+		counts[i] += v
 	}
 	return s.d.match(counts, s.gramsSeen)
 }
@@ -592,21 +598,8 @@ func (s *SpanStream) Match() Match {
 // written so far, for callers that need raw counts alongside the
 // spans.
 func (s *SpanStream) Result() Result {
-	counts := s.totals
-	if s.chunkFill > 0 {
-		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range s.totals {
-			tmp[i] += v
-		}
-		counts = tmp
-	}
-	r := Result{
-		Counts: append([]int(nil), counts...),
-		NGrams: s.gramsSeen,
-		Best:   -1,
-		Second: -1,
-	}
+	r := Result{Counts: make([]int, s.langs), NGrams: s.gramsSeen, Best: -1, Second: -1}
+	s.MatchCounts(r.Counts)
 	r.selectWinners()
 	return r
 }

@@ -460,22 +460,56 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 	// One snapshot per request: a concurrent hot swap must not change
 	// the detector under a request that already started.
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		httpReadError(w, err)
 		return
 	}
 	st.bytes.Add(int64(len(body)))
-	// /detect always reports per-language counts, so it takes the
-	// Result-carrying path and scores it under the detector's policy.
-	res := det.Classifier().Classify(body)
-	m := det.MatchResult(res)
+	// /detect always reports per-language counts.
+	counts := make([]int, len(det.Languages()))
+	m := det.DetectCounts(body, counts)
 	if m.NGrams == 0 {
 		jsonError(w, http.StatusUnprocessableEntity, "document too short to classify")
 		return
 	}
 	st.docs.Add(1)
-	writeJSON(w, s.detection(det, "", m, res.Counts, st))
+	writeJSON(w, s.detection(det, "", m, counts, st))
+}
+
+// bodyPresize caps the buffer a request body is first read into. A
+// body's Content-Length is a claim the client makes before sending it,
+// so the buffer starts at that claim only up to this cap and grows
+// past it as bytes actually arrive.
+const bodyPresize = 64 << 10
+
+// readBody reads the request body under the MaxBodyBytes limit into a
+// buffer presized from Content-Length, so a typical document is read
+// in one allocation of its own size rather than by repeated doubling.
+// The MaxBytesReader error (413) and read-deadline errors (408) pass
+// through unchanged for httpReadError.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := r.ContentLength
+	if size < 0 || size > bodyPresize {
+		size = bodyPresize
+	}
+	// One spare byte lets the read that reports EOF land without a
+	// grow when the body is exactly Content-Length bytes.
+	buf := make([]byte, 0, size+1)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // handleSegment segments one raw document into contiguous
@@ -485,7 +519,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpoi
 // across concurrent profile hot swaps.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		httpReadError(w, err)
 		return
@@ -536,7 +570,7 @@ func (d *batchDoc) UnmarshalJSON(data []byte) error {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		httpReadError(w, err)
 		return
@@ -558,18 +592,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	}
 	st.bytes.Add(bytes)
 	st.docs.Add(int64(len(docs)))
-	out := make([]Detection, len(docs))
+	var counts []int
+	nLangs := len(det.Languages())
 	if s.cfg.IncludeCounts {
-		// Counts requested: run the Result-carrying engine path and
-		// score each result under the detector's policy.
-		results := core.NewEngine(det.Classifier(), det.Workers()).ClassifyAll(docs)
-		for i, res := range results {
-			out[i] = s.detection(det, reqDocs[i].ID, det.MatchResult(res), res.Counts, st)
+		counts = make([]int, len(docs)*nLangs)
+	}
+	out := make([]Detection, len(docs))
+	for i, m := range det.DetectBatchCounts(docs, counts) {
+		var row []int
+		if counts != nil {
+			row = counts[i*nLangs : (i+1)*nLangs]
 		}
-	} else {
-		for i, m := range det.DetectBatch(docs) {
-			out[i] = s.detection(det, reqDocs[i].ID, m, nil, st)
-		}
+		out[i] = s.detection(det, reqDocs[i].ID, m, row, st)
 	}
 	writeJSON(w, out)
 }
@@ -610,6 +644,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	if spanStream == nil {
 		ds = det.NewStream()
 	}
+	// counts receives each line's per-language counts; they go on the
+	// wire only when IncludeCounts asks for them.
+	counts := make([]int, len(det.Languages()))
+	var wireCounts []int
+	if s.cfg.IncludeCounts {
+		wireCounts = counts
+	}
 	sc := bufio.NewScanner(r.Body)
 	// Scanner's effective cap is max(cap(buf), max), so the initial
 	// buffer must not exceed the configured line limit.
@@ -631,23 +672,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 		st.bytes.Add(int64(len(doc.Text)))
 		st.docs.Add(1)
 		var m core.Match
-		var result func() core.Result
 		var spans []core.Span
 		if spanStream != nil {
 			spanStream.Reset()
 			io.WriteString(spanStream, doc.Text)
 			spans = spanStream.Finish()
-			m, result = spanStream.Match(), spanStream.Result
+			m = spanStream.MatchCounts(counts)
 		} else {
 			ds.Reset()
 			io.WriteString(ds, doc.Text)
-			m, result = ds.Match(), ds.Result
+			m = ds.MatchCounts(counts)
 		}
-		var counts []int
-		if s.cfg.IncludeCounts {
-			counts = result().Counts
-		}
-		d := s.detection(det, doc.ID, m, counts, st)
+		d := s.detection(det, doc.ID, m, wireCounts, st)
 		if spanStream != nil {
 			d.Spans = spanDetections(spans, st)
 		}

@@ -1,108 +1,160 @@
 #!/usr/bin/env bash
-# Run the Detect benchmarks and write the results as JSON so the
-# performance trajectory is tracked per PR. Usage:
+# Run the Detect and membership-kernel benchmarks and write the results
+# as JSON so the performance trajectory is tracked per PR. Usage:
 #
-#   scripts/bench.sh [OUT.json] [BENCHTIME] [BASELINE.json]
+#   scripts/bench.sh [OUT.json] [BENCHTIME]
+#   BASE_REF=<rev> scripts/bench.sh [OUT.json] [BENCHTIME]
 #
 # Defaults: OUT=BENCH.json, BENCHTIME=200ms (raise for stable numbers,
-# e.g. scripts/bench.sh BENCH_pr3.json 1s).
+# e.g. scripts/bench.sh BENCH_pr7.json 1s).
 #
-# When BASELINE.json (a previous run's output, e.g. the committed
-# BENCH_pr3.json) is given, the single-document Detect hot-path
-# benchmarks (BenchmarkDetector and BenchmarkDetectorBackends/*) are
-# diffed against it and the run fails if any benchmark present in both
-# files regressed by more than REGRESSION_PCT (default 20%). Backends
-# new in this run have no baseline entry and are reported, not gated.
+# Without BASE_REF the benchmarks run once on this checkout.
+#
+# With BASE_REF the run is a same-machine A/B: <rev> is checked out in
+# a temporary git worktree, base and head test binaries are built once
+# each, and the two run interleaved five times, alternating which side
+# goes first. OUT.json records each benchmark's head median next to
+# the base median. The run fails if a gated benchmark's head median is
+# more than 20% slower than its base median. Gated are the
+# single-document Detect hot path
+# (BenchmarkDetector, BenchmarkDetectorBackends/*), segmentation
+# (BenchmarkDetectSpans/*) and the membership kernels
+# (BenchmarkKernel/*); Rank/Batch allocate or fan out by design and are
+# tracked but not gated. A benchmark the base lacks is reported, not
+# gated.
 set -euo pipefail
 
 out=${1:-BENCH.json}
 benchtime=${2:-200ms}
-baseline=${3:-}
-regression_pct=${REGRESSION_PCT:-20}
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+base_ref=${BASE_REF:-}
+regression_pct=20
+pattern='Detect|Kernel'
+if [ -n "$base_ref" ]; then count=5; else count=1; fi
 
-go test -run '^$' -bench 'Detect' -benchtime "$benchtime" -benchmem ./... | tee "$raw" >&2
+out=$(cd "$(dirname "$out")" && pwd)/$(basename "$out")
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+tmp=$(mktemp -d)
+cleanup() {
+  if [ -d "$tmp/base" ]; then git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true; fi
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
 
-awk -v goversion="$(go version | awk '{print $3}')" '
-BEGIN { n = 0 }
-/^Benchmark/ && NF >= 3 {
-  name = $1; iters = $2; ns = ""; bop = ""; aop = ""
-  # Strip the -GOMAXPROCS suffix go test appends on multi-core
-  # machines, so result names are machine-independent and diffable.
-  sub(/-[0-9]+$/, "", name)
-  for (i = 3; i < NF; i++) {
+# The packages that declare matching benchmarks, relative to the root.
+pkgs=$(grep -rlE --include='*_test.go' "^func Benchmark[A-Za-z]*(Detect|Kernel)" . | grep -v '^\./perfbench/' | xargs -n1 dirname | sort -u)
+
+# build SIDE DIR: compile one test binary per package of DIR.
+build() {
+  local side=$1 dir=$2 pkg
+  for pkg in $pkgs; do
+    [ -d "$dir/$pkg" ] || continue
+    (cd "$dir/$pkg" && go test -c -o "$tmp/$side-$(echo "$pkg" | tr -c 'A-Za-z0-9\n' _).test" .) >&2
+  done
+}
+
+# run SIDE DIR: run SIDE's binaries from their package directories
+# (tests read testdata relative to them), tagging each output line.
+run() {
+  local side=$1 dir=$2 pkg bin
+  for pkg in $pkgs; do
+    bin="$tmp/$side-$(echo "$pkg" | tr -c 'A-Za-z0-9\n' _).test"
+    [ -x "$bin" ] || continue
+    (cd "$dir/$pkg" && "$bin" -test.run '^$' -test.bench "$pattern" -test.benchtime "$benchtime" -test.benchmem -test.timeout 30m) |
+      tee /dev/stderr | sed "s/^/$side /" >> "$tmp/raw"
+  done
+}
+
+build head "$root"
+if [ -n "$base_ref" ]; then
+  git worktree add --detach "$tmp/base" "$base_ref" >&2
+  build base "$tmp/base"
+fi
+: > "$tmp/raw"
+for i in $(seq 1 "$count"); do
+  if [ -z "$base_ref" ]; then
+    run head "$root"
+  elif [ $((i % 2)) -eq 1 ]; then
+    run head "$root"; run base "$tmp/base"
+  else
+    run base "$tmp/base"; run head "$root"
+  fi
+done
+
+# One line per result: side name iterations ns/op B/op allocs/op
+# ns/ngram ("-" where a benchmark does not report the unit). The
+# -GOMAXPROCS suffix go test appends on multi-core machines is
+# stripped, so names are machine-independent and diffable.
+awk '
+$2 ~ /^Benchmark/ && NF >= 4 {
+  name = $2; sub(/-[0-9]+$/, "", name)
+  ns = "-"; bop = "-"; aop = "-"; ngram = "-"
+  for (i = 4; i < NF; i++) {
     if ($(i+1) == "ns/op") ns = $i
     if ($(i+1) == "B/op") bop = $i
     if ($(i+1) == "allocs/op") aop = $i
+    if ($(i+1) == "ns/ngram") ngram = $i
   }
-  if (ns == "") next
-  line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
-  if (bop != "") line = line sprintf(", \"bytes_per_op\": %s", bop)
-  if (aop != "") line = line sprintf(", \"allocs_per_op\": %s", aop)
-  line = line "}"
-  bench[n++] = line
+  if (ns != "-") print $1, name, $3, ns, bop, aop, ngram
+}' "$tmp/raw" > "$tmp/parsed"
+
+# median SIDE NAME FIELD: the median of one column over a side's runs.
+median() {
+  awk -v s="$1" -v n="$2" -v f="$3" '$1 == s && $2 == n && $f != "-" { print $f }' "$tmp/parsed" | sort -g |
+    awk '{ a[NR] = $1 } END { if (NR == 0) exit; printf "%.10g\n", (NR % 2) ? a[(NR + 1) / 2] : (a[NR / 2] + a[NR / 2 + 1]) / 2 }'
 }
-END {
-  printf "{\n"
-  printf "  \"go\": \"%s\",\n", goversion
-  printf "  \"benchmarks\": [\n"
-  for (i = 0; i < n; i++) printf "%s%s\n", bench[i], (i < n-1 ? "," : "")
-  printf "  ]\n"
-  printf "}\n"
-}' "$raw" > "$out"
 
-count=$(grep -c '"name"' "$out" || true)
-[ "$count" -gt 0 ] || { echo "bench: no benchmark results parsed" >&2; exit 1; }
-echo "bench: wrote $count results to $out" >&2
+gated() {
+  case $1 in
+    BenchmarkDetector | BenchmarkDetectorBackends/* | BenchmarkDetectSpans/* | BenchmarkKernel/*) return 0 ;;
+  esac
+  return 1
+}
 
-if [ -n "$baseline" ]; then
-  if [ ! -r "$baseline" ]; then
-    echo "bench: baseline $baseline not readable" >&2
-    exit 1
+names=$(awk '$1 == "head" && !seen[$2]++ { print $2 }' "$tmp/parsed")
+[ -n "$names" ] || { echo "bench: no benchmark results parsed" >&2; exit 1; }
+failed=0
+lines=()
+for name in $names; do
+  iters=$(median head "$name" 3); ns=$(median head "$name" 4)
+  line=$(printf '    {"name": "%s", "iterations": %.0f, "ns_per_op": %s' "$name" "$iters" "$ns")
+  bop=$(median head "$name" 5); aop=$(median head "$name" 6); ngram=$(median head "$name" 7)
+  [ -n "$bop" ] && line+=", \"bytes_per_op\": $bop"
+  [ -n "$aop" ] && line+=", \"allocs_per_op\": $aop"
+  [ -n "$ngram" ] && line+=", \"ns_per_ngram\": $ngram"
+  if [ -n "$base_ref" ]; then
+    base=$(median base "$name" 4)
+    if [ -z "$base" ]; then
+      printf 'bench:   new   %-45s %12.0f ns/op (no base result)\n' "$name" "$ns" >&2
+    else
+      line+=$(awk -v b="$base" -v h="$ns" 'BEGIN { printf ", \"base_ns_per_op\": %s, \"speedup\": %.2f", b, b / h }')
+      if gated "$name"; then
+        status=$(awk -v b="$base" -v h="$ns" -v p="$regression_pct" 'BEGIN { print (100 * (h - b) / b > p) ? "REGRESSED" : "ok" }')
+        [ "$status" = ok ] || failed=1
+        awk -v s="$status" -v n="$name" -v b="$base" -v h="$ns" 'BEGIN { printf "bench:   %-9s %-45s %12.0f -> %.0f ns/op (%+.1f%%)\n", s, n, b, h, 100 * (h - b) / b }' >&2
+      fi
+    fi
   fi
-  echo "bench: gating Detect hot path against $baseline (limit +${regression_pct}%)" >&2
-  awk -v pct="$regression_pct" '
-  # Both files use the one-benchmark-per-line format this script writes,
-  # so a line-oriented parse is enough: pull out name and ns_per_op.
-  function parse(line) {
-    name = ""; ns = ""
-    if (match(line, /"name": "[^"]+"/)) {
-      name = substr(line, RSTART + 9, RLENGTH - 10)
-      # Tolerate baselines written before the -GOMAXPROCS suffix was
-      # stripped at generation time.
-      sub(/-[0-9]+$/, "", name)
-    }
-    if (match(line, /"ns_per_op": [0-9.]+/)) {
-      ns = substr(line, RSTART + 13, RLENGTH - 13)
-    }
-  }
-  # Gate the single-document Detect hot path and the segmentation hot
-  # path; Rank/Batch allocate or fan out by design and are tracked but
-  # not gated.
-  function gated(name) {
-    return name == "BenchmarkDetector" || name ~ /^BenchmarkDetectorBackends\// || name ~ /^BenchmarkDetectSpans\//
-  }
-  NR == FNR {
-    parse($0)
-    if (name != "" && ns != "") base[name] = ns
-    next
-  }
-  {
-    parse($0)
-    if (name == "" || ns == "" || !gated(name)) next
-    if (!(name in base)) {
-      printf "bench:   new   %-45s %12.0f ns/op (no baseline)\n", name, ns
-      next
-    }
-    delta = 100 * (ns - base[name]) / base[name]
-    status = "ok"
-    if (delta > pct) { status = "REGRESSED"; failed = 1 }
-    printf "bench:   %-5s %-45s %12.0f -> %.0f ns/op (%+.1f%%)\n", status, name, base[name], ns, delta
-  }
-  END { exit failed ? 1 : 0 }
-  ' "$baseline" "$out" >&2 || {
-    echo "bench: Detect regressed more than ${regression_pct}% against $baseline" >&2
-    exit 1
-  }
+  lines+=("$line}")
+done
+
+{
+  printf '{\n'
+  printf '  "go": "%s",\n' "$(go version | awk '{print $3}')"
+  if [ -n "$base_ref" ]; then
+    printf '  "base_ref": "%s",\n' "$(git rev-parse "$base_ref")"
+  fi
+  printf '  "count": %d,\n' "$count"
+  printf '  "benchmarks": [\n'
+  for i in "${!lines[@]}"; do
+    sep=,; [ "$i" -eq $((${#lines[@]} - 1)) ] && sep=
+    printf '%s%s\n' "${lines[$i]}" "$sep"
+  done
+  printf '  ]\n}\n'
+} > "$out"
+echo "bench: wrote ${#lines[@]} results (median of $count) to $out" >&2
+
+if [ "$failed" -ne 0 ]; then
+  echo "bench: a gated benchmark regressed more than ${regression_pct}% against $base_ref" >&2
+  exit 1
 fi
