@@ -46,6 +46,24 @@
 // pool, so a warm Detect performs zero heap allocations (see
 // BenchmarkDetector).
 //
+// # Counting pipeline
+//
+// Every counting entry point — Detect, DetectCounts, Rank, DetectBatch,
+// DetectReader, Stream and SpanStream writes ([]byte or string), and
+// the legacy Classify — runs the document through one chunked pass,
+// the software form of the paper's datapath (§3.3), which tests an
+// n-gram at each character position and never buffers a document:
+//
+//	raw bytes ──▶ folded translate+extract ──▶ ≤255-gram chunk ──▶ kernel ──▶ vertical counter
+//	              (256-entry table feeding       (fixed buffer)     (one L-bit    (per-language
+//	               the n-gram window)                                hit mask      counts)
+//	                                                                 per n-gram)
+//
+// The extractor carries its window across chunks and writes, so any
+// chunking of a document yields the same counts. Per-call scratch is
+// one chunk of n-grams plus the per-language counters (about 1 KiB),
+// whatever the document size.
+//
 // # Membership backends
 //
 // The membership structure is an open registry. Four ship built in:

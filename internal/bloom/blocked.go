@@ -131,26 +131,28 @@ func newBlockedSet(langs, k int, inputBits uint, blocks uint32, seed int64, allo
 // foldedHash is the block selector and the k−1 in-block probe hashes
 // folded into one H3 evaluation. H3 is linear over GF(2), so
 // concatenating the outputs of several members is itself an H3 hash:
-// one byte-table with packed 64-bit entries — selector in the low
-// selBits bits, then 9 bits per probe — yields every hash of an n-gram
-// from four lookups instead of 4k, with the same hash values bit for
-// bit. Probes that do not fit in 64 bits after the selector (large k
-// with many blocks) go to a second table.
+// one byte-table with packed 64-bit entries yields every hash of an
+// n-gram from four lookups instead of 4k, with the same hash values
+// bit for bit. The packing is laid out for the scoring loop: probe 0
+// in the low 9 bits and the selector right above it, so one AND gives
+// the block's base lane and another probe 0's bit in it; probes
+// 1..split−1 are packed downwards from the top bit, so a constant
+// 9-bit left rotation brings each in turn to the low bits. Probes that
+// do not fit in the word (large k with many blocks) go to a second
+// table, 9 bits each from the bottom.
 type foldedHash struct {
-	lo      [4][256]uint64
-	hi      *[4][256]uint64 // probes split.. when split < probes
-	selBits uint
-	selMask uint64
-	probes  int // k−1
-	split   int // probes packed into lo
+	lo     [4][256]uint64
+	hi     *[4][256]uint64 // probes split.. when split < probes
+	base   uint64          // selector bits: h&base is the block's first lane
+	probes int             // k−1
+	split  int             // probes packed into lo
 }
 
 func foldHashes(sel *h3.Func, probes []*h3.Func, selBits uint) *foldedHash {
 	f := &foldedHash{
-		selBits: selBits,
-		selMask: 1<<selBits - 1,
-		probes:  len(probes),
-		split:   min(len(probes), int(64-selBits)/blockBitAddr),
+		base:   (1<<selBits - 1) << blockBitAddr,
+		probes: len(probes),
+		split:  min(len(probes), int(64-selBits)/blockBitAddr),
 	}
 	if f.split < f.probes {
 		f.hi = new([4][256]uint64)
@@ -160,12 +162,15 @@ func foldHashes(sel *h3.Func, probes []*h3.Func, selBits uint) *foldedHash {
 	for c := 0; c < 4; c++ {
 		for v := 0; v < 256; v++ {
 			x := uint32(v) << (8 * c)
-			f.lo[c][v] = uint64(sel.Hash(x))
+			f.lo[c][v] = uint64(sel.Hash(x)) << blockBitAddr
 			for p, pf := range probes {
 				h := uint64(pf.Hash(x))
-				if p < f.split {
-					f.lo[c][v] |= h << (selBits + uint(p)*blockBitAddr)
-				} else {
+				switch {
+				case p == 0:
+					f.lo[c][v] |= h
+				case p < f.split:
+					f.lo[c][v] |= h << (64 - uint(p)*blockBitAddr)
+				default:
 					f.hi[c][v] |= h << (uint(p-f.split) * blockBitAddr)
 				}
 			}
@@ -179,14 +184,18 @@ func foldHashes(sel *h3.Func, probes []*h3.Func, selBits uint) *foldedHash {
 func (f *foldedHash) probeLanes(dst *[maxProbes]uint, g uint32) []uint {
 	b0, b1, b2, b3 := g&0xFF, g>>8&0xFF, g>>16&0xFF, g>>24
 	h := f.lo[0][b0] ^ f.lo[1][b1] ^ f.lo[2][b2] ^ f.lo[3][b3]
-	base := uint(h&f.selMask) << blockBitAddr
-	h >>= f.selBits
-	for p := 0; p < f.probes; p++ {
-		if p == f.split {
-			h = f.hi[0][b0] ^ f.hi[1][b1] ^ f.hi[2][b2] ^ f.hi[3][b3]
-		}
+	base := uint(h & f.base)
+	dst[0] = base | uint(h)&(BlockBits-1)
+	for p := 1; p < f.split; p++ {
+		h = bits.RotateLeft64(h, blockBitAddr)
 		dst[p] = base | uint(h)&(BlockBits-1)
-		h >>= blockBitAddr
+	}
+	if f.hi != nil {
+		h = f.hi[0][b0] ^ f.hi[1][b1] ^ f.hi[2][b2] ^ f.hi[3][b3]
+		for p := f.split; p < f.probes; p++ {
+			dst[p] = base | uint(h)&(BlockBits-1)
+			h >>= blockBitAddr
+		}
 	}
 	return dst[:f.probes]
 }
@@ -227,27 +236,29 @@ func (t laneTable[T]) accumulate(counts []int, gs []uint32, f *foldedHash) {
 	var masks [MaskChunk]T
 	for len(gs) > 0 {
 		n := min(len(gs), MaskChunk)
-		t.hitMasks(masks[:n], gs[:n], f)
+		hitMasks(t, masks[:n], gs[:n], f)
 		CountMasks(counts, masks[:n])
 		gs = gs[n:]
 	}
 }
 
 // hitMasks sets masks[i] to the AND of gs[i]'s k−1 lane words. It is
-// probeLanes inlined by hand and kept small enough for the register
-// allocator: this loop is where scoring time goes.
-func (t laneTable[T]) hitMasks(masks []T, gs []uint32, f *foldedHash) {
+// probeLanes inlined by hand: this loop is where scoring time goes.
+// The first probe is peeled, so the mask starts from a load rather
+// than all ones, and each further probe is one constant rotation away,
+// so the loop holds no shift count and the mask stays in a register
+// across the probes.
+func hitMasks[T Lane](t []T, masks []T, gs []uint32, f *foldedHash) {
 	lo := &f.lo
-	selMask, selBits, split := f.selMask, f.selBits, f.split
+	baseMask, split := f.base, f.split
 	masks = masks[:len(gs)]
 	for i, g := range gs {
 		h := lo[0][g&0xFF] ^ lo[1][g>>8&0xFF] ^ lo[2][g>>16&0xFF] ^ lo[3][g>>24]
-		base := uint(h&selMask) << blockBitAddr
-		h >>= selBits
-		m := ^T(0)
-		for p := 0; p < split; p++ {
+		base := uint(h & baseMask)
+		m := t[base|uint(h)&(BlockBits-1)]
+		for p := 1; p < split; p++ {
+			h = bits.RotateLeft64(h, blockBitAddr)
 			m &= t[base|uint(h)&(BlockBits-1)]
-			h >>= blockBitAddr
 		}
 		masks[i] = m
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bloomlang/internal/alphabet"
 	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
 	"bloomlang/internal/ngram"
@@ -340,8 +339,11 @@ func (r Result) Margin() int {
 // alphabet translation, n-gram extraction, membership testing, match
 // counting, and winner selection.
 func (c *Classifier) Classify(doc []byte) Result {
-	gs := c.ExtractGrams(nil, doc)
-	return c.ClassifyGrams(gs)
+	r := Result{Counts: make([]int, len(c.matchers)), Best: -1, Second: -1}
+	e := c.extractor
+	r.NGrams = countText(c, &e, new([bloom.MaskChunk]uint32), r.Counts, doc)
+	r.selectWinners()
+	return r
 }
 
 // ExtractGrams translates and extracts the document's packed n-grams
@@ -351,21 +353,7 @@ func (c *Classifier) Classify(doc []byte) Result {
 // allocated beyond dst growth.
 func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
 	e := c.extractor
-	codes := alphabet.TranslateAll(doc)
-	return e.Feed(dst, codes)
-}
-
-// extractInto is the allocation-free extraction path: it translates doc
-// into the reusable codes buffer (grown only when too small) and
-// appends the packed n-grams to dst. Both slices come back for reuse.
-func (c *Classifier) extractInto(dst []uint32, codes []alphabet.Code, doc []byte) ([]uint32, []alphabet.Code) {
-	if cap(codes) < len(doc) {
-		codes = make([]alphabet.Code, len(doc))
-	}
-	codes = codes[:len(doc)]
-	alphabet.TranslateInto(codes, doc)
-	e := c.extractor
-	return e.Feed(dst, codes), codes
+	return ngram.FeedText(&e, dst, doc)
 }
 
 // ClassifyGrams counts matches for pre-extracted n-grams. This is the
@@ -373,24 +361,38 @@ func (c *Classifier) extractInto(dst []uint32, codes []alphabet.Code, doc []byte
 // every language's filter and counters are incremented on match.
 func (c *Classifier) ClassifyGrams(gs []uint32) Result {
 	r := Result{Counts: make([]int, len(c.matchers)), NGrams: len(gs), Best: -1, Second: -1}
-	c.countInto(r.Counts, gs)
+	c.accumulateInto(r.Counts, gs)
 	r.selectWinners()
 	return r
 }
 
-// countInto runs the match-counting inner loop into a caller-owned
-// counts slice (len(Languages())), allocating nothing.
-func (c *Classifier) countInto(counts []int, gs []uint32) {
-	for i := range counts {
-		counts[i] = 0
+// countText is the one counting loop behind Detect and its counts,
+// rank and batch forms, the streams and Classify (segmentation fills
+// its stride chunks through the same extractor path in writeSpans).
+// Like the hardware's character buffer (§3.3) it never holds the
+// document: raw bytes go through the extractor's folded
+// translate-and-extract path into buf, at most bloom.MaskChunk n-grams
+// at a time, and each chunk goes straight to accumulateInto. The
+// counts add into counts; the n-gram total comes back. Scratch memory
+// is buf, whatever the document size.
+func countText[S ngram.Text](c *Classifier, e *ngram.Extractor, buf *[bloom.MaskChunk]uint32, counts []int, text S) int {
+	// A chunk of MaskChunk·subsample bytes yields at most MaskChunk
+	// n-grams, so the extractor never grows buf.
+	step := bloom.MaskChunk * c.cfg.Subsample
+	ngrams := 0
+	for len(text) > 0 {
+		k := min(len(text), step)
+		gs := ngram.FeedText(e, buf[:0], text[:k])
+		c.accumulateInto(counts, gs)
+		ngrams += len(gs)
+		text = text[k:]
 	}
-	c.accumulateInto(counts, gs)
+	return ngrams
 }
 
 // accumulateInto adds each language's match count over gs into counts.
 // Fused backends score all languages per n-gram in one pass through
 // the kernel; per-language backends walk the languages×grams loop.
-// Streams accumulate across chunks through the same path.
 func (c *Classifier) accumulateInto(counts []int, gs []uint32) {
 	if c.fused != nil {
 		c.fused.AccumulateInto(counts, gs)

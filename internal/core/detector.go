@@ -6,7 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"bloomlang/internal/alphabet"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
 )
 
@@ -92,13 +92,12 @@ type Detector struct {
 	segPool   sync.Pool // of *SpanStream, for the one-shot segmentation paths
 }
 
-// scratch is the per-call working set: the translated-code buffer, the
-// extracted n-gram buffer, and the per-language counters. Detect
-// borrows one from the pool and returns it, so a warm Detector's hot
-// path performs zero allocations.
+// scratch is the per-call working set: one chunk of extracted n-grams
+// and the per-language counters. Its size is fixed by the language
+// count, not the document, and Detect borrows one from the pool and
+// returns it, so a warm Detector's hot path performs zero allocations.
 type scratch struct {
-	codes  []alphabet.Code
-	grams  []uint32
+	grams  [bloom.MaskChunk]uint32
 	counts []int
 }
 
@@ -191,12 +190,18 @@ func (d *Detector) DetectCounts(doc []byte, counts []int) Match {
 	return m
 }
 
-// detectInto detects doc with s's code and n-gram buffers, leaving the
+// detectInto detects doc with s's n-gram chunk, leaving the
 // per-language counts in counts.
 func (d *Detector) detectInto(s *scratch, doc []byte, counts []int) Match {
-	s.grams, s.codes = d.clf.extractInto(s.grams[:0], s.codes, doc)
-	d.clf.countInto(counts, s.grams)
-	return d.match(counts, len(s.grams))
+	return d.match(counts, d.count(s, doc, counts))
+}
+
+// count runs doc through the counting loop into the zeroed counts and
+// returns its n-gram total.
+func (d *Detector) count(s *scratch, doc []byte, counts []int) int {
+	clear(counts)
+	e := d.clf.extractor
+	return countText(d.clf, &e, &s.grams, counts, doc)
 }
 
 // match applies winner selection and the unknown policy to a finished
@@ -238,9 +243,7 @@ func (d *Detector) MatchResult(r Result) Match {
 // applies to Detect, not to the list.
 func (d *Detector) Rank(doc []byte, k int) []Match {
 	s := d.pool.Get().(*scratch)
-	s.grams, s.codes = d.clf.extractInto(s.grams[:0], s.codes, doc)
-	d.clf.countInto(s.counts, s.grams)
-	ms := d.rankCounts(s.counts, len(s.grams), k)
+	ms := d.rankCounts(s.counts, d.count(s, doc, s.counts), k)
 	d.pool.Put(s)
 	return ms
 }
@@ -350,6 +353,11 @@ func (d *Detector) NewStream() *Stream {
 // Write feeds the next chunk. It never fails; the error satisfies
 // io.Writer.
 func (s *Stream) Write(p []byte) (int, error) { return s.ds.Write(p) }
+
+// WriteString is Write for a string chunk without the []byte copy —
+// Stream is an io.StringWriter, so io.WriteString detects
+// JSON-decoded documents allocation-free.
+func (s *Stream) WriteString(p string) (int, error) { return s.ds.WriteString(p) }
 
 // Match returns the detection over everything written so far; the
 // stream stays usable for more chunks.

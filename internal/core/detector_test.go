@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
 )
 
@@ -279,6 +281,10 @@ func TestDetectZeroAllocations(t *testing.T) {
 	}
 	ps := trainMini(t, Config{TopT: 1000})
 	doc := getMiniCorpus(t).Test["es"][0].Text
+	if len(doc) <= bloom.MaskChunk {
+		t.Fatalf("fixture document has %d bytes, want more than one %d-n-gram chunk", len(doc), bloom.MaskChunk)
+	}
+	text := string(doc)
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
 		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
@@ -291,6 +297,63 @@ func TestDetectZeroAllocations(t *testing.T) {
 		counts := make([]int, len(det.Languages()))
 		if allocs := testing.AllocsPerRun(200, func() { det.DetectCounts(doc, counts) }); allocs != 0 {
 			t.Errorf("%s: DetectCounts allocates %.1f objects per call, want 0", backend, allocs)
+		}
+		// The streams, fed writes longer than one n-gram chunk through
+		// both the []byte and the string path.
+		st := det.NewStream()
+		sp, err := det.NewSpanStream(SegmentConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := map[string]func(){
+			"Stream.Write":           func() { st.Write(doc) },
+			"Stream.WriteString":     func() { st.WriteString(text) },
+			"SpanStream.Write":       func() { sp.Write(doc) },
+			"SpanStream.WriteString": func() { sp.WriteString(text) },
+		}
+		for name, write := range writes {
+			run := func() {
+				st.Reset()
+				sp.Reset()
+				write()
+				st.MatchCounts(counts)
+				sp.Finish()
+				sp.MatchCounts(counts)
+			}
+			run() // warm
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				t.Errorf("%s: %s allocates %.1f objects per document, want 0", backend, name, allocs)
+			}
+		}
+	}
+}
+
+// TestDetectCountsScratchBounded checks that per-call scratch does not
+// grow with the document: the first DetectCounts on a fresh detector,
+// over a 4 MiB document, allocates its constant-size scratch and
+// nothing proportional to the input.
+func TestDetectCountsScratchBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; CI runs this test again without -race")
+	}
+	ps := trainMini(t, Config{TopT: 1000})
+	seed := getMiniCorpus(t).Test["es"][0].Text
+	doc := bytes.Repeat(seed, (4<<20)/len(seed)+1)[:4<<20]
+	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked} {
+		det, err := NewDetector(ps, WithBackend(backend))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, len(det.Languages()))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := det.DetectCounts(doc, counts)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: DetectCounts on a %d-byte document allocated %d bytes, want < 64 KiB", backend, len(doc), got)
+		}
+		if m.NGrams != len(doc)-3 {
+			t.Errorf("%s: %d n-grams from %d bytes, want %d", backend, m.NGrams, len(doc), len(doc)-3)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Engine fans document classification out over a pool of goroutines.
 // It is the software analogue of the hardware's document-level
 // parallelism ("parallel document processing", §1): each worker owns
-// its extraction buffer and the classifier's membership structures are
+// its document stream and the classifier's membership structures are
 // read-only after construction, so the hot path shares nothing mutable.
 type Engine struct {
 	c       *Classifier
@@ -49,10 +49,11 @@ func (e *Engine) ClassifyAll(docs []corpus.Document) []Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []uint32
+			ds := e.c.NewStream()
 			for i := range next {
-				buf = e.c.ExtractGrams(buf[:0], docs[i].Text)
-				results[i] = e.c.ClassifyGrams(buf)
+				ds.Reset()
+				ds.Write(docs[i].Text)
+				results[i] = ds.Result()
 			}
 		}()
 	}

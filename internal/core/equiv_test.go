@@ -12,9 +12,13 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"bloomlang/internal/alphabet"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/corpus"
+	"bloomlang/internal/ngram"
 )
 
 // equivBackends is the full built-in backend matrix the equivalence
@@ -229,6 +233,152 @@ func TestClassifyAllPreservesInputOrder(t *testing.T) {
 			}
 			if lang := got[i].BestLanguage(c.Languages()); lang != wantLangs[i] {
 				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, lang, wantLangs[i])
+			}
+		}
+	}
+}
+
+// referenceCounts is the test-only reference scorer the chunked
+// counting loop is held to: translate the whole document, slide the
+// n-gram window over it with ngram.Pack, keep every subsample-th
+// n-gram, and ask each language's own Test about each one.
+func referenceCounts(c *Classifier, doc []byte) (counts []int, ngrams int) {
+	codes := alphabet.TranslateAll(doc)
+	n, sub := c.cfg.N, c.cfg.Subsample
+	counts = make([]int, len(c.matchers))
+	for i := 0; i+n <= len(codes); i += sub {
+		g := ngram.Pack(codes[i : i+n])
+		for l, m := range c.matchers {
+			if m.Test(g) {
+				counts[l]++
+			}
+		}
+		ngrams++
+	}
+	return counts, ngrams
+}
+
+// withSubsample returns a copy of c that tests every sub-th n-gram —
+// the classifier New would build with Config.Subsample = sub, without
+// rebuilding the membership structures.
+func withSubsample(t *testing.T, c *Classifier, sub int) *Classifier {
+	t.Helper()
+	cs := *c
+	cs.cfg.Subsample = sub
+	if err := cs.extractor.SetSubsample(sub); err != nil {
+		t.Fatal(err)
+	}
+	return &cs
+}
+
+// chunkBoundaryLengths returns the document lengths around every edge
+// the counting loop has: empty, shorter than one n-gram, exactly one,
+// and both sides of the first and second chunk of MaskChunk n-grams
+// (MaskChunk·sub bytes under subsampling).
+func chunkBoundaryLengths(n, sub int) []int {
+	ls := []int{0, 1, n - 1, n}
+	for k := 1; k <= 2; k++ {
+		for _, step := range []int{bloom.MaskChunk, bloom.MaskChunk * sub} {
+			ls = append(ls, step*k-1, step*k, step*k+1, step*k+n-1)
+		}
+	}
+	return ls
+}
+
+// TestChunkBoundaryEquivalence holds every counting entry point to the
+// whole-document reference at each chunk edge, on every backend, n-gram
+// length and subsample: DetectCounts, DetectBatchCounts, Rank,
+// Classify, and Stream and SpanStream fed the document in random
+// []byte and string pieces. Counts and Match must be identical.
+func TestChunkBoundaryEquivalence(t *testing.T) {
+	corp := getMiniCorpus(t)
+	var text []byte
+	for _, lang := range []string{"en", "fi", "es", "pt"} {
+		for _, d := range corp.Test[lang][:2] {
+			text = append(text, d.Text...)
+		}
+	}
+	text = append(text, "\x00\xc3\xa9\xff ÀÉÎÕÜ àéîõü 0123!?"...)
+	if need := 2*bloom.MaskChunk*7 + ngram.MaxN; len(text) < need {
+		t.Fatalf("fixture text has %d bytes, want at least %d", len(text), need)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for n := 1; n <= ngram.MaxN; n++ {
+		ps := trainMini(t, Config{N: n, TopT: 300})
+		for _, backend := range equivBackends {
+			if backend == BackendDirect && n == ngram.MaxN && raceEnabled {
+				// The exact table spans the 2^30 6-gram space (192 MiB);
+				// race shadow memory multiplies that past what a test
+				// should take.
+				continue
+			}
+			base, err := New(ps, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sub := range []int{1, 2, 3, 7} {
+				c := withSubsample(t, base, sub)
+				det := NewDetectorFromClassifier(c, WithWorkers(2))
+				L := len(c.langs)
+				lengths := chunkBoundaryLengths(n, sub)
+				docs := make([]corpus.Document, len(lengths))
+				for i, l := range lengths {
+					docs[i].Text = text[:l]
+				}
+				batchCounts := make([]int, len(docs)*L)
+				batch := det.DetectBatchCounts(docs, batchCounts)
+				st := det.NewStream()
+				sp, err := det.NewSpanStream(SegmentConfig{Window: 8, Stride: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts := make([]int, L)
+				for i, doc := range docs {
+					want, ngrams := referenceCounts(c, doc.Text)
+					wantMatch := det.match(want, ngrams)
+					check := func(path string, m Match, got []int) {
+						t.Helper()
+						if !slices.Equal(got, want) || m != wantMatch {
+							t.Fatalf("%v n=%d sub=%d len=%d %s: %+v %v, want %+v %v",
+								backend, n, sub, len(doc.Text), path, m, got, wantMatch, want)
+						}
+					}
+					check("DetectCounts", det.DetectCounts(doc.Text, counts), counts)
+					check("DetectBatchCounts", batch[i], batchCounts[i*L:(i+1)*L])
+					r := c.Classify(doc.Text)
+					check("Classify", det.MatchResult(r), r.Counts)
+					if rk := det.Rank(doc.Text, 1); ngrams > 0 && rk[0].Count != wantMatch.Count {
+						t.Fatalf("%v n=%d sub=%d len=%d: Rank head %+v, want count %d",
+							backend, n, sub, len(doc.Text), rk[0], wantMatch.Count)
+					}
+
+					pts := []int{0, 0}
+					if len(doc.Text) > 0 {
+						pts = splitPoints(rng, len(doc.Text), 1+rng.Intn(6))
+					}
+					st.Reset()
+					sp.Reset()
+					for j := 1; j < len(pts); j++ {
+						piece := doc.Text[pts[j-1]:pts[j]]
+						if j%2 == 0 {
+							st.Write(piece)
+							sp.Write(piece)
+						} else {
+							st.WriteString(string(piece))
+							sp.WriteString(string(piece))
+						}
+					}
+					check("Stream", st.MatchCounts(counts), counts)
+					check("SpanStream", sp.MatchCounts(counts), counts)
+					spans, err := det.DetectSpans(doc.Text, SegmentConfig{Window: 8, Stride: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sp.Finish(); !slices.Equal(got, spans) {
+						t.Fatalf("%v n=%d sub=%d len=%d: split SpanStream spans %+v, one-shot %+v",
+							backend, n, sub, len(doc.Text), got, spans)
+					}
+				}
 			}
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 
-	"bloomlang/internal/alphabet"
 	"bloomlang/internal/ngram"
 )
 
@@ -237,9 +236,7 @@ type SpanStream struct {
 	rows  int // ring rows = Window/Stride
 	langs int
 
-	codes     []alphabet.Code
-	grams     []uint32
-	chunkBuf  []uint32
+	chunkBuf  []uint32 // the stride chunk being filled
 	chunkFill int
 
 	ring   []int     // rows × langs per-chunk match counts
@@ -318,68 +315,41 @@ func (s *SpanStream) Reset() { s.configure(s.cfg) }
 
 // Write feeds the next chunk of the document. It fails only on a
 // stream already closed by Finish; the signature satisfies io.Writer.
-func (s *SpanStream) Write(p []byte) (int, error) {
-	if s.done {
-		return 0, errSpanStreamFinished
-	}
-	if cap(s.codes) < len(p) {
-		s.codes = make([]alphabet.Code, len(p))
-	}
-	alphabet.TranslateInto(s.codes[:len(p)], p)
-	s.feedCodes(len(p))
-	return len(p), nil
-}
+func (s *SpanStream) Write(p []byte) (int, error) { return writeSpans(s, p) }
 
 // WriteString is Write for string chunks without the []byte copy —
 // SpanStream is an io.StringWriter, so io.WriteString segments
 // JSON-decoded documents allocation-free.
-func (s *SpanStream) WriteString(p string) (int, error) {
-	if s.done {
-		return 0, errSpanStreamFinished
-	}
-	if cap(s.codes) < len(p) {
-		s.codes = make([]alphabet.Code, len(p))
-	}
-	codes := s.codes[:len(p)]
-	for i := 0; i < len(p); i++ {
-		codes[i] = alphabet.Translate(p[i])
-	}
-	s.feedCodes(len(p))
-	return len(p), nil
-}
+func (s *SpanStream) WriteString(p string) (int, error) { return writeSpans(s, p) }
 
 var errSpanStreamFinished = fmt.Errorf("core: SpanStream written after Finish (Reset starts a new document)")
 
-// feedCodes runs the translated first n codes through extraction and
-// chunk counting. The bytes are counted before consuming: a boundary
+// writeSpans runs p through the extractor's folded translate-and-
+// extract path straight into the stride chunk being filled, scoring
+// each chunk as it completes; a trailing partial chunk waits for the
+// next Write. The bytes are counted before consuming: a boundary
 // confirmed inside this write starts within these bytes, and gramByte
 // clamps against the running total.
-func (s *SpanStream) feedCodes(n int) {
-	s.bytesSeen += n
-	s.grams = s.e.Feed(s.grams[:0], s.codes[:n])
-	s.consume(s.grams)
-}
-
-// consume cuts the incoming n-gram stream into stride-sized chunks.
-// Chunks completing inside gs are counted straight out of the caller's
-// slice; a trailing partial chunk is buffered for the next Write.
-func (s *SpanStream) consume(gs []uint32) {
-	s.gramsSeen += len(gs)
+func writeSpans[S ngram.Text](s *SpanStream, p S) (int, error) {
+	if s.done {
+		return 0, errSpanStreamFinished
+	}
+	s.bytesSeen += len(p)
 	stride := s.cfg.Stride
-	for len(gs) > 0 {
-		if s.chunkFill == 0 && len(gs) >= stride {
-			s.completeChunk(gs[:stride])
-			gs = gs[stride:]
-			continue
-		}
-		n := copy(s.chunkBuf[s.chunkFill:stride], gs)
-		s.chunkFill += n
-		gs = gs[n:]
+	for rest := p; len(rest) > 0; {
+		// room·subsample bytes yield at most the room n-grams left in
+		// the chunk, so they land in chunkBuf in place.
+		k := min(len(rest), (stride-s.chunkFill)*s.sub)
+		gs := ngram.FeedText(&s.e, s.chunkBuf[s.chunkFill:s.chunkFill], rest[:k])
+		s.chunkFill += len(gs)
+		s.gramsSeen += len(gs)
+		rest = rest[k:]
 		if s.chunkFill == stride {
 			s.completeChunk(s.chunkBuf[:stride])
 			s.chunkFill = 0
 		}
 	}
+	return len(p), nil
 }
 
 // completeChunk scores one stride of n-grams — the single pass through

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bloomlang/internal/alphabet"
+	"bloomlang/internal/bloom"
 	"bloomlang/internal/ngram"
 )
 
@@ -15,36 +15,30 @@ import (
 // position").
 type DocumentStream struct {
 	c      *Classifier
-	e      *ngram.Extractor
+	e      ngram.Extractor
 	counts []int
 	ngrams int
-	codes  []alphabet.Code
-	grams  []uint32
+	buf    [bloom.MaskChunk]uint32
 }
 
 // NewStream starts an empty document stream on the classifier. The
 // extractor is a value copy of the classifier's prototype, so streams
 // are independent of each other and of the one-shot paths.
 func (c *Classifier) NewStream() *DocumentStream {
-	e := c.extractor
-	return &DocumentStream{
-		c:      c,
-		e:      &e,
-		counts: make([]int, len(c.matchers)),
-	}
+	return &DocumentStream{c: c, e: c.extractor, counts: make([]int, len(c.matchers))}
 }
 
 // Write feeds the next chunk of the document. It never fails; the
 // error return satisfies io.Writer.
 func (s *DocumentStream) Write(p []byte) (int, error) {
-	if cap(s.codes) < len(p) {
-		s.codes = make([]alphabet.Code, len(p))
-	}
-	codes := s.codes[:len(p)]
-	alphabet.TranslateInto(codes, p)
-	s.grams = s.e.Feed(s.grams[:0], codes)
-	s.ngrams += len(s.grams)
-	s.c.accumulateInto(s.counts, s.grams)
+	s.ngrams += countText(s.c, &s.e, &s.buf, s.counts, p)
+	return len(p), nil
+}
+
+// WriteString is Write for a string chunk, without the []byte copy
+// io.WriteString would otherwise make.
+func (s *DocumentStream) WriteString(p string) (int, error) {
+	s.ngrams += countText(s.c, &s.e, &s.buf, s.counts, p)
 	return len(p), nil
 }
 

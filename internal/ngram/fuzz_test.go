@@ -2,7 +2,11 @@ package ngram
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"bloomlang/internal/alphabet"
 )
 
 // FuzzReadProfile hardens the deserializer against malformed input: it
@@ -61,6 +65,47 @@ func FuzzExtractBytes(f *testing.F) {
 			if uint64(g) > mask {
 				t.Fatalf("gram %#x exceeds %d-bit packing", g, Bits(n))
 			}
+		}
+	})
+}
+
+// FuzzFeedBytesVsFeed pins the folded byte path to the two-stage one:
+// FeedText over []byte and string pieces, cut at arbitrary points,
+// must emit exactly what Feed emits over the whole translated
+// document, at every n and subsample, and leave the extractor in the
+// same state.
+func FuzzFeedBytesVsFeed(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(4), uint8(1), int64(1))
+	f.Add([]byte{}, uint8(1), uint8(3), int64(2))
+	f.Add([]byte{0xFF, 0x00, 0xC3, 0xA9, 0x7F, 'a', 'B'}, uint8(6), uint8(7), int64(3))
+	f.Fuzz(func(t *testing.T, doc []byte, n, sub uint8, seed int64) {
+		proto, err := NewExtractor(1 + int(n)%MaxN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := proto.SetSubsample(1 + int(sub)%8); err != nil {
+			t.Fatal(err)
+		}
+		want := *proto
+		wantGrams := want.Feed(nil, alphabet.TranslateAll(doc))
+
+		got := *proto
+		var gotGrams []uint32
+		rng := rand.New(rand.NewSource(seed))
+		for rest := doc; len(rest) > 0; {
+			k := rng.Intn(len(rest) + 1)
+			if rng.Intn(2) == 0 {
+				gotGrams = FeedText(&got, gotGrams, rest[:k])
+			} else {
+				gotGrams = FeedText(&got, gotGrams, string(rest[:k]))
+			}
+			rest = rest[k:]
+		}
+		if !slices.Equal(gotGrams, wantGrams) {
+			t.Fatalf("n=%d sub=%d: FeedText %x, Feed %x", proto.n, proto.subsample, gotGrams, wantGrams)
+		}
+		if got != want {
+			t.Fatalf("n=%d sub=%d: extractor state %+v after FeedText, %+v after Feed", proto.n, proto.subsample, got, want)
 		}
 	})
 }

@@ -14,7 +14,9 @@ package ngram
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"bloomlang/internal/alphabet"
 )
@@ -123,20 +125,70 @@ func (e *Extractor) Reset() {
 // complete n-gram to dst, returning the extended slice. A document of d
 // characters yields exactly max(0, d-n+1) n-grams (before subsampling).
 func (e *Extractor) Feed(dst []uint32, codes []alphabet.Code) []uint32 {
-	for _, c := range codes {
-		e.window = (e.window<<alphabet.Bits | uint32(c)) & e.mask
-		if e.filled < e.n-1 {
-			e.filled++
-			continue
-		}
-		if e.phase == 0 {
-			dst = append(dst, e.window)
-		}
-		e.phase++
-		if e.phase == e.subsample {
-			e.phase = 0
-		}
+	// A Code is one byte, so the codes run through the byte loop as
+	// bytes with the identity table in place of the translation table.
+	return feed(e, dst, unsafe.Slice((*byte)(unsafe.SliceData(codes)), len(codes)), &identityCodes)
+}
+
+// Text is raw ISO-8859-1 input in either of the forms documents
+// arrive in.
+type Text interface{ ~[]byte | ~string }
+
+// FeedText is Feed over raw bytes with the alphabet translation folded
+// in: each byte goes through the 256-entry table on its way into the
+// window, so no translated-code buffer is ever written. It is
+// equivalent to e.Feed(dst, alphabet.TranslateAll(text)) and carries
+// the window across calls in the same way.
+func FeedText[S Text](e *Extractor, dst []uint32, text S) []uint32 {
+	return feed(e, dst, text, &byteCodes)
+}
+
+// byteCodes is the alphabet translation table; identityCodes maps
+// every code to itself.
+var byteCodes, identityCodes = func() (tr, id [256]alphabet.Code) {
+	for i := range tr {
+		tr[i] = alphabet.Translate(byte(i))
+		id[i] = alphabet.Code(i)
 	}
+	return tr, id
+}()
+
+// feed is the one extraction loop behind Feed and FeedText. While the
+// window fills (the first n−1 characters of a document) and under
+// subsampling it tracks filled and phase per character; in the steady
+// state it runs with the window in a register, one table load, shift
+// and store per character, and no branch. Bits shifted past the
+// window's top are dropped by the mask on the way out.
+func feed[S Text](e *Extractor, dst []uint32, src S, tab *[256]alphabet.Code) []uint32 {
+	w, mask := e.window, e.mask
+	i := 0
+	for ; e.filled < e.n-1 && i < len(src); i++ {
+		w = w<<alphabet.Bits | uint32(tab[src[i]])
+		e.filled++
+	}
+	src = src[i:]
+	if e.subsample == 1 {
+		n := len(dst)
+		dst = slices.Grow(dst, len(src))[:n+len(src)]
+		out := dst[n:][:len(src)]
+		for j := 0; j < len(src); j++ {
+			w = w<<alphabet.Bits | uint32(tab[src[j]])
+			out[j] = w & mask
+		}
+	} else {
+		phase := e.phase
+		for j := 0; j < len(src); j++ {
+			w = w<<alphabet.Bits | uint32(tab[src[j]])
+			if phase == 0 {
+				dst = append(dst, w&mask)
+			}
+			if phase++; phase == e.subsample {
+				phase = 0
+			}
+		}
+		e.phase = phase
+	}
+	e.window = w & mask
 	return dst
 }
 
@@ -148,8 +200,7 @@ func ExtractBytes(text []byte, n int) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	codes := alphabet.TranslateAll(text)
-	return e.Feed(make([]uint32, 0, maxInt(0, len(text)-n+1)), codes), nil
+	return FeedText(e, make([]uint32, 0, maxInt(0, len(text)-n+1)), text), nil
 }
 
 // Count returns the number of n-grams a document of length d characters
