@@ -36,12 +36,25 @@ type ProfileSet = core.ProfileSet
 // Profile is one language's ranked n-gram profile.
 type Profile = ngram.Profile
 
-// Result is a single-document classification outcome in the legacy
-// counter-centric form; new code should consume Match from a Detector.
+// Result is the per-language counter view of classifying pre-extracted
+// n-grams ((*Detector).Classifier().ClassifyGrams) and of
+// (*WideClassifier).Classify; Detector methods report a Match.
 type Result = core.Result
 
 // Evaluation is an accuracy/confusion summary over a labelled test set.
 type Evaluation = core.Evaluation
+
+// ThroughputReport is a measured software classification run: bytes,
+// documents and wall-clock time, with MBPerSec in the paper's unit.
+type ThroughputReport = core.ThroughputReport
+
+// Evaluate detects the corpus test split with d and scores it:
+// per-language accuracy, their average, and the confusion matrix.
+func Evaluate(d *Detector, corp *Corpus) Evaluation { return core.Evaluate(d, corp) }
+
+// Measure detects docs over d's worker pool and reports wall-clock
+// throughput (§5.4's methodology: documents already in memory).
+func Measure(d *Detector, docs []Document) ThroughputReport { return core.Measure(d, docs) }
 
 // Backend selects the membership structure used for match counting.
 // The set is open: RegisterBackend adds new ones, ParseBackend resolves
@@ -58,16 +71,16 @@ const (
 	BackendBlocked = core.BackendBlocked
 )
 
-// Matcher is one language's membership structure; implement it to
-// register a custom backend.
-type Matcher = core.Matcher
-
-// BackendBuilder constructs the Matcher for one language profile.
-type BackendBuilder = core.BackendBuilder
+// Kernel is the membership backend contract: AccumulateInto adds every
+// language's match count over a run of packed n-grams (without
+// allocating), Test answers one language's membership of one n-gram.
+// Implement it to register a custom backend.
+type Kernel = core.Kernel
 
 // RegisterBackend adds a membership backend under a canonical name
 // plus optional parse aliases, returning the Backend that selects it.
-func RegisterBackend(name string, build BackendBuilder, aliases ...string) Backend {
+// build constructs the backend's Kernel over a whole profile set.
+func RegisterBackend(name string, build func(Config, *ProfileSet) (Kernel, error), aliases ...string) Backend {
 	return core.RegisterBackend(name, build, aliases...)
 }
 
@@ -130,21 +143,6 @@ type SegmentConfig = core.SegmentConfig
 // to close the document. Created by (*Detector).NewSpanStream.
 type SpanStream = core.SpanStream
 
-// Classifier tests document n-grams against every language profile and
-// reports match counts (§3.2).
-//
-// Deprecated: use Detector, which adds ranked results, confidence
-// scoring and unknown thresholding over the same pipeline. Classifier
-// remains for raw per-language counts and the hardware simulator.
-type Classifier = core.Classifier
-
-// Engine runs a Classifier over document sets with a goroutine worker
-// pool.
-//
-// Deprecated: use (*Detector).DetectBatch for classification;
-// Engine remains for Evaluate/Measure-style corpus scoring.
-type Engine = core.Engine
-
 // Train builds per-language profiles from a corpus's training split.
 func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
 	return core.Train(cfg, corp)
@@ -154,25 +152,6 @@ func Train(cfg Config, corp *Corpus) (*ProfileSet, error) {
 // language code.
 func TrainFromTexts(cfg Config, texts map[string][][]byte) (*ProfileSet, error) {
 	return core.TrainFromTexts(cfg, texts)
-}
-
-// NewClassifier builds a classifier over trained profiles with the
-// chosen membership backend.
-//
-// Deprecated: use NewDetector(ps, WithBackend(backend)); the detector
-// exposes the classifier via (*Detector).Classifier when raw counts
-// are needed.
-func NewClassifier(ps *ProfileSet, backend Backend) (*Classifier, error) {
-	return core.New(ps, backend)
-}
-
-// NewEngine wraps a classifier in a parallel document engine;
-// workers <= 0 means GOMAXPROCS.
-//
-// Deprecated: use NewDetector(ps, WithWorkers(n)) and
-// (*Detector).DetectBatch; NewEngine remains for corpus evaluation.
-func NewEngine(c *Classifier, workers int) *Engine {
-	return core.NewEngine(c, workers)
 }
 
 // FalsePositiveRate returns the paper's §3.1 Parallel Bloom Filter

@@ -49,8 +49,8 @@
 // # Counting pipeline
 //
 // Every counting entry point — Detect, DetectCounts, Rank, DetectBatch,
-// DetectReader, Stream and SpanStream writes ([]byte or string), and
-// the legacy Classify — runs the document through one chunked pass,
+// DetectReader, and Stream and SpanStream writes ([]byte or string) —
+// runs the document through one chunked pass,
 // the software form of the paper's datapath (§3.3), which tests an
 // n-gram at each character position and never buffers a document:
 //
@@ -73,11 +73,19 @@
 // cache-line-blocked Bloom filter ("blocked-bloom"/"blocked").
 // ParseBackend resolves any registered name or alias (the CLIs' -backend
 // flag is exactly this), Backend.String round-trips it back, and
-// RegisterBackend plugs in new implementations (RegisterFusedBackend
-// for backends that score all languages per n-gram in one pass):
+// RegisterBackend plugs in new implementations. Every backend is a
+// Kernel that scores all languages for a run of n-grams in one call;
+// the builder receives the whole profile set:
 //
-//	fast := bloomlang.RegisterBackend("my-backend", myBuilder, "mine")
-//	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(fast))
+//	type myKernel struct{ ... }
+//	func (k *myKernel) AccumulateInto(counts []int, gs []uint32) { ... } // += per-language hits, no allocation
+//	func (k *myKernel) Test(lang int, g uint32) bool            { ... } // one language, one n-gram
+//
+//	mine := bloomlang.RegisterBackend("my-backend",
+//		func(cfg bloomlang.Config, ps *bloomlang.ProfileSet) (bloomlang.Kernel, error) {
+//			return newMyKernel(cfg, ps.Profiles)
+//		}, "mine")
+//	det, _ := bloomlang.NewDetector(profiles, bloomlang.WithBackend(mine))
 //
 // The blocked backend is the software analogue of the paper's
 // one-clock membership test. The hardware reads its k bit-vector RAMs
@@ -142,14 +150,13 @@
 // The mechanism reuses the match-counting inner loop unchanged and
 // runs it exactly once per document: the n-gram stream is cut into
 // Stride-sized chunks, each chunk's per-language counts accumulate
-// through the classifier's single counting pass (the fused blocked
-// and direct kernels score all languages per n-gram; the parallel and
-// classic backends walk their Matcher loops), and a sliding window of Window n-grams is the
-// rolling sum of a Window/Stride-row ring — add the newest chunk,
-// subtract the oldest. No n-gram is ever re-extracted or re-hashed
-// for a second window, so on the blocked backend segmenting costs
-// barely more than one Detect, at 0 allocs/op warm (AppendSpans with
-// a reused destination; see BenchmarkDetectSpans).
+// through one pass of the backend's kernel, and a sliding window of
+// Window n-grams is the rolling sum of a Window/Stride-row ring — add
+// the newest chunk, subtract the oldest. No n-gram is ever
+// re-extracted or re-hashed for a second window, so on the blocked
+// backend segmenting costs barely more than one Detect, at 0 allocs/op
+// warm (AppendSpans with a reused destination; see
+// BenchmarkDetectSpans).
 //
 // Window arg-max decisions pass through hysteresis before a boundary
 // is believed: a new language must win Hysteresis consecutive windows,
@@ -295,30 +302,29 @@
 // examples/server walks the full serving surface, admin plane
 // included, in one self-contained program.
 //
-// # Migrating from Classifier and Engine
+// # Removed names
 //
-// The pre-Detector entry points remain as thin deprecated wrappers;
-// each maps onto the Detector like so:
+// Detector is the one detection API and Kernel the one backend
+// contract. The older entry points are gone; each maps onto the
+// current API like so:
 //
-//	NewClassifier(ps, backend)   -> NewDetector(ps, WithBackend(backend))
-//	Classifier.Classify(doc)     -> Detector.Detect(doc)        (Match, not Result)
-//	Result.BestLanguage(langs)   -> Match.Lang                  ("" now means Unknown)
-//	Result.Margin()              -> Match.Margin                (normalized, float64)
-//	Result.Counts                -> Detector.DetectCounts(doc, counts)  (raw counts, pooled)
-//	                                or Detector.Rank(doc, 0)    (ranked Matches)
-//	NewEngine(clf, n)            -> NewDetector(ps, WithWorkers(n))
-//	Engine.ClassifyAll(docs)     -> Detector.DetectBatch(docs)
-//	                                or DetectBatchCounts(docs, counts) with counts
-//	Classifier.NewStream()       -> Detector.NewStream()        (Match-producing)
-//	DocumentStream.Result()      -> Stream.MatchCounts(counts)
-//	hand-rolled backend switch   -> ParseBackend(name)
+//	NewClassifier(ps, b)          -> NewDetector(ps, WithBackend(b))
+//	Classifier.Classify(doc)      -> Detector.Detect(doc), or DetectCounts(doc, counts) for raw counts
+//	NewEngine(clf, n)             -> NewDetector(ps, WithWorkers(n))
+//	Engine.ClassifyAll(docs)      -> Detector.DetectBatch(docs), or DetectBatchCounts(docs, counts)
+//	Engine.Evaluate(corp)         -> Evaluate(det, corp)
+//	Engine.Measure(docs)          -> Measure(det, docs)
+//	NewDocumentStream(clf)        -> Detector.NewStream()
+//	DocumentStream.Result()       -> Stream.MatchCounts(counts)
+//	SpanStream.Result()           -> SpanStream.MatchCounts(counts)
+//	Detector.MatchResult(r)       -> Detect or DetectCounts on the document
+//	NewServerFromClassifier(c, o) -> NewServer(ps, o)
+//	Matcher, BackendBuilder       -> Kernel and a func(Config, *ProfileSet) (Kernel, error) builder
+//	RegisterFusedBackend          -> RegisterBackend
 //
-// DetectCounts, DetectBatchCounts and the streams' MatchCounts write
-// Languages()-ordered counts into a caller-owned slice and, like
-// Detect, allocate nothing once warm; the serving layer uses them for
-// every counts-carrying response. Corpus evaluation stays available
-// through (*Detector).Classifier and NewEngine (Evaluate/Measure); the
-// simulator keeps borrowing the classifier's Bloom filters, so
-// hardware-simulated and software classifications still agree
-// bit-for-bit.
+// (*Detector).Classifier remains for counter-level work on
+// pre-extracted n-grams (ClassifyGrams, returning a Result) and for
+// Filter, through which the XD1000, RTL and VHDL simulators borrow the
+// parallel-bloom filters, so hardware-simulated and software
+// classifications still agree bit-for-bit.
 package bloomlang

@@ -9,49 +9,30 @@ import (
 	"bloomlang/internal/ngram"
 )
 
-// Matcher is one language's membership structure: it answers whether a
-// packed n-gram belongs to that language's profile. The paper's
-// Parallel Bloom Filter, HAIL's direct lookup table, and the classic
-// single-vector Bloom filter all implement it; external packages may
-// register additional implementations via RegisterBackend.
-type Matcher interface {
-	Test(g uint32) bool
-}
-
-// BackendBuilder constructs the Matcher for one language. index is the
-// language's position in the sorted profile set, so builders can derive
-// independent per-language seeds the way the hardware gives each
-// replica its own H3 matrices.
-type BackendBuilder func(cfg Config, index int, p *ngram.Profile) (Matcher, error)
-
-// Kernel is a fused all-languages scoring kernel: instead of one
-// Matcher per language queried in a languages×grams loop, a Kernel
-// scores every language for each n-gram in a single pass — the
-// software analogue of the hardware testing one n-gram against all
-// language classifiers in the same clock (§3.2). AccumulateInto adds
-// each language's match count over gs into counts (len(Languages()))
-// and must not allocate; Test answers per-language membership for the
-// paths that need a single probe.
+// Kernel is the one backend contract: it scores every language for
+// each n-gram in a single pass — the software analogue of the hardware
+// testing one n-gram against all language classifiers in the same
+// clock (§3.2). AccumulateInto adds each language's match count over
+// gs into counts (len(Languages())) and must not allocate; Test
+// answers one language's membership for the paths that need a single
+// probe (diagnostics and the differential tests).
 type Kernel interface {
 	AccumulateInto(counts []int, gs []uint32)
 	Test(lang int, g uint32) bool
 }
 
-// SetBuilder constructs the fused Kernel over the whole profile set at
-// once — fused backends need every language's profile up front to lay
-// the per-language state out contiguously.
-type SetBuilder func(cfg Config, ps *ProfileSet) (Kernel, error)
+// KernelBuilder constructs a backend's Kernel over the whole profile
+// set, so a backend can lay per-language state out however its kernel
+// scores fastest.
+type KernelBuilder func(cfg Config, ps *ProfileSet) (Kernel, error)
 
 // backendEntry is one registered membership backend. The entry's slot
 // in the registry table is its Backend value, so the registry is an
-// open-ended extension of the original closed enum. Exactly one of
-// build and buildSet is non-nil: per-language backends provide build,
-// fused backends provide buildSet.
+// open-ended extension of the original closed enum.
 type backendEntry struct {
-	name     string
-	aliases  []string
-	build    BackendBuilder
-	buildSet SetBuilder
+	name    string
+	aliases []string
+	build   KernelBuilder
 }
 
 var (
@@ -62,41 +43,27 @@ var (
 
 // RegisterBackend adds a membership backend under a canonical name plus
 // optional parse aliases, returning the Backend value that now selects
-// it. Registration panics on a duplicate or empty name — backends are
-// wired up in init functions, where a clash is a programming error.
-func RegisterBackend(name string, build BackendBuilder, aliases ...string) Backend {
+// it. Registration panics on a nil builder or a duplicate or empty
+// name — backends are wired up in init functions, where a clash is a
+// programming error.
+func RegisterBackend(name string, build KernelBuilder, aliases ...string) Backend {
 	if build == nil {
 		panic("core: RegisterBackend with nil builder")
 	}
-	return register(backendEntry{name: name, aliases: aliases, build: build})
-}
-
-// RegisterFusedBackend adds a fused membership backend: one whose
-// Kernel scores all languages per n-gram in a single pass instead of
-// providing per-language Matchers. Registration semantics match
-// RegisterBackend.
-func RegisterFusedBackend(name string, build SetBuilder, aliases ...string) Backend {
-	if build == nil {
-		panic("core: RegisterFusedBackend with nil builder")
-	}
-	return register(backendEntry{name: name, aliases: aliases, buildSet: build})
-}
-
-func register(e backendEntry) Backend {
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	if e.name == "" {
+	if name == "" {
 		panic("core: backend registration with empty name")
 	}
-	for _, n := range append([]string{e.name}, e.aliases...) {
+	for _, n := range append([]string{name}, aliases...) {
 		if _, dup := backendIndex[n]; dup {
 			panic(fmt.Sprintf("core: backend name %q already registered", n))
 		}
 	}
 	b := Backend(len(backendTable))
-	backendTable = append(backendTable, e)
-	backendIndex[e.name] = b
-	for _, n := range e.aliases {
+	backendTable = append(backendTable, backendEntry{name: name, aliases: aliases, build: build})
+	backendIndex[name] = b
+	for _, n := range aliases {
 		backendIndex[n] = b
 	}
 	return b
@@ -142,50 +109,78 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// builders returns the registered per-language and fused builders
-// (exactly one non-nil), or an error for a Backend value that was
-// never registered.
-func (b Backend) builders() (BackendBuilder, SetBuilder, error) {
+// builder returns the registered builder, or an error for a Backend
+// value that was never registered.
+func (b Backend) builder() (KernelBuilder, error) {
 	backendMu.RLock()
 	defer backendMu.RUnlock()
 	if int(b) < 0 || int(b) >= len(backendTable) {
-		return nil, nil, fmt.Errorf("core: unknown backend %d", int(b))
+		return nil, fmt.Errorf("core: unknown backend %d", int(b))
 	}
-	return backendTable[b].build, backendTable[b].buildSet, nil
+	return backendTable[b].build, nil
 }
 
 // The built-in backends register in constant order so the registry
 // slots line up with the historical enum values.
 func init() {
 	bloomB := RegisterBackend("parallel-bloom", buildParallelBloom, "bloom")
-	directB := RegisterFusedBackend("direct-lookup", buildDirectLookup, "direct")
+	directB := RegisterBackend("direct-lookup", buildDirectLookup, "direct")
 	classicB := RegisterBackend("classic-bloom", buildClassicBloom, "classic")
-	blockedB := RegisterFusedBackend("blocked-bloom", buildBlocked, "blocked")
+	blockedB := RegisterBackend("blocked-bloom", buildBlocked, "blocked")
 	if bloomB != BackendBloom || directB != BackendDirect || classicB != BackendClassic || blockedB != BackendBlocked {
 		panic("core: built-in backends registered out of order")
 	}
 }
 
+// perLanguage adapts one membership filter per language to the Kernel
+// contract: AccumulateInto walks the languages×grams loop, one filter
+// at a time, in place of the hardware's replicated classifiers that
+// test each n-gram in parallel. Classifier.Filter hands the
+// parallel-bloom filters to the hardware simulators.
+type perLanguage[F interface{ Test(g uint32) bool }] []F
+
+func (p perLanguage[F]) AccumulateInto(counts []int, gs []uint32) {
+	for i, f := range p {
+		n := 0
+		for _, g := range gs {
+			if f.Test(g) {
+				n++
+			}
+		}
+		counts[i] += n
+	}
+}
+
+func (p perLanguage[F]) Test(lang int, g uint32) bool { return p[lang].Test(g) }
+
 // buildParallelBloom is the paper's design: k H3 hashes into k
 // independent m-bit vectors per language (§3.1).
-func buildParallelBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	f, err := bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, perLanguageSeed(cfg.Seed, index))
-	if err != nil {
-		return nil, err
+func buildParallelBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
+	fs := make(perLanguage[*bloom.Parallel], len(ps.Profiles))
+	for i, p := range ps.Profiles {
+		f, err := bloom.NewParallel(cfg.K, ngram.Bits(cfg.N), cfg.MBits, perLanguageSeed(cfg.Seed, i))
+		if err != nil {
+			return nil, err
+		}
+		f.ProgramAll(p.Grams)
+		fs[i] = f
 	}
-	f.ProgramAll(p.Grams)
-	return f, nil
+	return fs, nil
 }
 
 // buildClassicBloom is the ablation: one k·m-bit vector shared by all k
 // hash functions.
-func buildClassicBloom(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-	f, err := bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), perLanguageSeed(cfg.Seed, index))
-	if err != nil {
-		return nil, err
+func buildClassicBloom(cfg Config, ps *ProfileSet) (Kernel, error) {
+	fs := make(perLanguage[*bloom.Classic], len(ps.Profiles))
+	for i, p := range ps.Profiles {
+		f, err := bloom.NewClassic(cfg.K, ngram.Bits(cfg.N), cfg.MBits*uint32(cfg.K), perLanguageSeed(cfg.Seed, i))
+		if err != nil {
+			return nil, err
+		}
+		f.ProgramAll(p.Grams)
+		fs[i] = f
 	}
-	f.ProgramAll(p.Grams)
-	return f, nil
+	return fs, nil
 }
 
 // perLanguageSeed offsets the configured seed per language so filters
@@ -263,13 +258,3 @@ func checkBlockedLayout(cfg Config, ps *ProfileSet, set *bloom.BlockedSet) error
 	}
 	return nil
 }
-
-// kernelMatcher is the per-language view of a fused Kernel, so the
-// Matcher-shaped paths (streams, diagnostics, differential tests)
-// work identically on fused backends.
-type kernelMatcher struct {
-	k    Kernel
-	lang int
-}
-
-func (m kernelMatcher) Test(g uint32) bool { return m.k.Test(m.lang, g) }

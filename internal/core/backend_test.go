@@ -1,10 +1,9 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"bloomlang/internal/ngram"
 )
 
 // TestBackendStringParseRoundTrip pins the registry contract the CLIs
@@ -71,49 +70,73 @@ func TestBackendStringUnregisteredValue(t *testing.T) {
 	}
 }
 
-// acceptAll matches every n-gram — a degenerate membership structure
-// that exists only to prove third-party backends plug in.
-type acceptAll struct{}
+// exactSets is a third-party-style backend: exact membership from one
+// Go map per language, scored by walking languages×grams. It exists
+// only to prove that any Kernel plugs in through the registry.
+type exactSets []map[uint32]bool
 
-func (acceptAll) Test(uint32) bool { return true }
+func (e exactSets) AccumulateInto(counts []int, gs []uint32) {
+	for l, set := range e {
+		for _, g := range gs {
+			if set[g] {
+				counts[l]++
+			}
+		}
+	}
+}
+
+func (e exactSets) Test(lang int, g uint32) bool { return e[lang][g] }
+
+// The custom backend registers at init, as a third-party package
+// would, and joins equivBackends, so every equivalence gate — Detect,
+// DetectBatchCounts, Rank, Stream and SpanStream against the
+// referenceCounts walk of its own Test — runs on it too.
+func init() {
+	equivBackends = append(equivBackends, RegisterBackend("test-exact-sets", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+		e := make(exactSets, len(ps.Profiles))
+		for i, p := range ps.Profiles {
+			e[i] = p.Set()
+		}
+		return e, nil
+	}, "exact-sets"))
+}
 
 func TestRegisterBackendExtendsClassifier(t *testing.T) {
-	b := RegisterBackend("test-accept-all", func(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-		return acceptAll{}, nil
-	}, "accept")
-	if got, err := ParseBackend("accept"); err != nil || got != b {
-		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
-	}
-	if b.String() != "test-accept-all" {
-		t.Fatalf("String() = %q", b.String())
+	b, err := ParseBackend("exact-sets")
+	if err != nil || b.String() != "test-exact-sets" {
+		t.Fatalf("ParseBackend(alias) = %v, %v", b, err)
 	}
 	ps := trainMini(t, Config{TopT: 500})
 	det, err := NewDetector(ps, WithBackend(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := []byte("the registry must accept custom membership structures")
-	m := det.Detect(doc)
-	// Every language matches every n-gram, so the winner is an exact tie
-	// broken to the first language, with score 1.
-	if m.Unknown || m.Score != 1 || m.Count != m.NGrams {
-		t.Errorf("accept-all detect = %+v", m)
+	if det.Classifier().Filter(0) != nil {
+		t.Error("custom backend exposed a parallel bloom filter")
 	}
-	if m.Lang != det.Languages()[0] {
-		t.Errorf("tie broke to %q, want first language %q", m.Lang, det.Languages()[0])
+	// Exact membership: the counts equal the direct lookup table's.
+	direct, err := NewDetector(ps, WithBackend(BackendDirect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]int, len(det.Languages())), make([]int, len(det.Languages()))
+	doc := getMiniCorpus(t).Test["fi"][0].Text
+	if m, dm := det.DetectCounts(doc, got), direct.DetectCounts(doc, want); m != dm || !slices.Equal(got, want) {
+		t.Errorf("custom backend %+v %v, direct %+v %v", m, got, dm, want)
 	}
 }
 
 // rejectAll is a fused kernel that matches nothing — it exists only to
-// prove third-party fused backends plug in through the registry.
-type rejectAll struct{ langs int }
+// prove a kernel scoring all languages in one pass plugs in through the
+// registry without a per-language membership structure behind it.
+type rejectAll struct{}
 
 func (rejectAll) AccumulateInto([]int, []uint32) {}
 func (rejectAll) Test(int, uint32) bool          { return false }
 
 func TestRegisterFusedBackendExtendsClassifier(t *testing.T) {
-	b := RegisterFusedBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
-		return rejectAll{langs: len(ps.Profiles)}, nil
+	b := RegisterBackend("test-reject-all", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+		return rejectAll{}, nil
 	}, "reject")
 	if got, err := ParseBackend("reject"); err != nil || got != b {
 		t.Fatalf("ParseBackend(alias) = %v, %v", got, err)
@@ -147,7 +170,7 @@ func TestRegisterBackendRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	RegisterBackend("parallel-bloom", func(cfg Config, index int, p *ngram.Profile) (Matcher, error) {
-		return acceptAll{}, nil
+	RegisterBackend("parallel-bloom", func(cfg Config, ps *ProfileSet) (Kernel, error) {
+		return exactSets{}, nil
 	})
 }

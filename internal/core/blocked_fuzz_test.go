@@ -34,13 +34,13 @@ func FuzzBlockedNoFalseNegativesVsDirect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gs := direct.ExtractGrams(nil, data)
 		for _, g := range gs {
-			for i := range direct.matchers {
-				if direct.matchers[i].Test(g) && !blocked.matchers[i].Test(g) {
+			for i := range direct.langs {
+				if direct.kernel.Test(i, g) && !blocked.kernel.Test(i, g) {
 					t.Fatalf("blocked false negative: lang %s gram %#x", direct.langs[i], g)
 				}
 			}
 		}
-		dr, br := direct.Classify(data), blocked.Classify(data)
+		dr, br := classify(direct, data), classify(blocked, data)
 		if dr.NGrams != br.NGrams {
 			t.Fatalf("backends extracted different n-gram counts: %d vs %d", dr.NGrams, br.NGrams)
 		}

@@ -11,12 +11,14 @@
 //     profile; each match increments that language's counter.
 //  3. The language with the highest match count is the classification.
 //
-// Three interchangeable membership backends are provided: the Parallel
-// Bloom Filter (the paper's design), a direct lookup table (HAIL's
-// design, exact membership), and a classic single-vector Bloom filter
-// (an ablation). The simulated FPGA datapath in internal/xd1000 uses
-// the same Parallel Bloom Filter code, so hardware-simulated and
-// software classifications agree bit-for-bit.
+// Four interchangeable membership backends are registered, each a
+// Kernel that scores every language per n-gram: the Parallel Bloom
+// Filter (the paper's design), a direct lookup table (HAIL's design,
+// exact membership), a classic single-vector Bloom filter (an
+// ablation), and a cache-line-blocked Bloom filter fused across
+// languages. The simulated FPGA datapath in internal/xd1000 borrows
+// the parallel backend's filters, so hardware-simulated and software
+// classifications agree bit-for-bit.
 package core
 
 import (
@@ -206,12 +208,10 @@ const (
 // turn and reports match counts — the software realization of the
 // multiple language classifier of §3.2.
 type Classifier struct {
-	cfg      Config
-	backend  Backend
-	langs    []string
-	matchers []Matcher
-	fused    Kernel            // non-nil for fused backends; scores all languages per n-gram
-	filters  []*bloom.Parallel // non-nil iff every matcher is a Parallel Bloom Filter
+	cfg     Config
+	backend Backend
+	langs   []string
+	kernel  Kernel
 	// extractor is the prototype n-gram extractor, configured once at
 	// construction. It is never fed directly: the hot paths copy it by
 	// value, giving every call (and every worker) its own sliding-window
@@ -229,7 +229,7 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 	if len(ps.Profiles) == 0 {
 		return nil, fmt.Errorf("core: empty profile set")
 	}
-	build, buildSet, err := backend.builders()
+	build, err := backend.builder()
 	if err != nil {
 		return nil, err
 	}
@@ -250,33 +250,8 @@ func New(ps *ProfileSet, backend Backend) (*Classifier, error) {
 		}
 		c.langs = append(c.langs, p.Language)
 	}
-	if buildSet != nil {
-		// Fused backend: one kernel scores every language per n-gram;
-		// matchers are per-language views of the same kernel.
-		k, err := buildSet(cfg, ps)
-		if err != nil {
-			return nil, err
-		}
-		c.fused = k
-		for i := range ps.Profiles {
-			c.matchers = append(c.matchers, kernelMatcher{k: k, lang: i})
-		}
-		return c, nil
-	}
-	for i, p := range ps.Profiles {
-		m, err := build(cfg, i, p)
-		if err != nil {
-			return nil, err
-		}
-		c.matchers = append(c.matchers, m)
-		if f, ok := m.(*bloom.Parallel); ok {
-			c.filters = append(c.filters, f)
-		}
-	}
-	// The XD1000 simulator borrows per-language Parallel Bloom Filters;
-	// expose them only when every language has one.
-	if len(c.filters) != len(c.matchers) {
-		c.filters = nil
+	if c.kernel, err = build(cfg, ps); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -292,16 +267,18 @@ func (c *Classifier) Config() Config { return c.cfg }
 func (c *Classifier) Backend() Backend { return c.backend }
 
 // Filter returns the Parallel Bloom Filter for language index i, or nil
-// for non-Bloom backends. The XD1000 simulator borrows these so the
-// simulated datapath and the software classifier share state.
+// for every backend but parallel-bloom. The XD1000, RTL and VHDL
+// simulators borrow these so the simulated datapath and the software
+// classifier share state.
 func (c *Classifier) Filter(i int) *bloom.Parallel {
-	if c.filters == nil {
-		return nil
+	if p, ok := c.kernel.(perLanguage[*bloom.Parallel]); ok {
+		return p[i]
 	}
-	return c.filters[i]
+	return nil
 }
 
-// Result is the outcome of classifying one document.
+// Result is the counter-level outcome of ClassifyGrams and
+// WideClassifier.Classify; Detector reports a Match instead.
 type Result struct {
 	// Counts holds per-language match counts in Languages() order.
 	Counts []int
@@ -335,17 +312,6 @@ func (r Result) Margin() int {
 	return r.Counts[r.Best] - r.Counts[r.Second]
 }
 
-// Classify runs the full pipeline on one raw ISO-8859-1 document:
-// alphabet translation, n-gram extraction, membership testing, match
-// counting, and winner selection.
-func (c *Classifier) Classify(doc []byte) Result {
-	r := Result{Counts: make([]int, len(c.matchers)), Best: -1, Second: -1}
-	e := c.extractor
-	r.NGrams = countText(c, &e, new([bloom.MaskChunk]uint32), r.Counts, doc)
-	r.selectWinners()
-	return r
-}
-
 // ExtractGrams translates and extracts the document's packed n-grams
 // into dst (which may be nil), honouring the configured subsampling.
 // The extractor state is a value copy of the construction-time
@@ -360,19 +326,19 @@ func (c *Classifier) ExtractGrams(dst []uint32, doc []byte) []uint32 {
 // inner loop the hardware implements: every n-gram is tested against
 // every language's filter and counters are incremented on match.
 func (c *Classifier) ClassifyGrams(gs []uint32) Result {
-	r := Result{Counts: make([]int, len(c.matchers)), NGrams: len(gs), Best: -1, Second: -1}
-	c.accumulateInto(r.Counts, gs)
+	r := Result{Counts: make([]int, len(c.langs)), NGrams: len(gs), Best: -1, Second: -1}
+	c.kernel.AccumulateInto(r.Counts, gs)
 	r.selectWinners()
 	return r
 }
 
 // countText is the one counting loop behind Detect and its counts,
-// rank and batch forms, the streams and Classify (segmentation fills
-// its stride chunks through the same extractor path in writeSpans).
+// rank and batch forms and Stream (segmentation fills its stride
+// chunks through the same extractor path in writeSpans).
 // Like the hardware's character buffer (§3.3) it never holds the
 // document: raw bytes go through the extractor's folded
 // translate-and-extract path into buf, at most bloom.MaskChunk n-grams
-// at a time, and each chunk goes straight to accumulateInto. The
+// at a time, and each chunk goes straight to the kernel. The
 // counts add into counts; the n-gram total comes back. Scratch memory
 // is buf, whatever the document size.
 func countText[S ngram.Text](c *Classifier, e *ngram.Extractor, buf *[bloom.MaskChunk]uint32, counts []int, text S) int {
@@ -383,30 +349,11 @@ func countText[S ngram.Text](c *Classifier, e *ngram.Extractor, buf *[bloom.Mask
 	for len(text) > 0 {
 		k := min(len(text), step)
 		gs := ngram.FeedText(e, buf[:0], text[:k])
-		c.accumulateInto(counts, gs)
+		c.kernel.AccumulateInto(counts, gs)
 		ngrams += len(gs)
 		text = text[k:]
 	}
 	return ngrams
-}
-
-// accumulateInto adds each language's match count over gs into counts.
-// Fused backends score all languages per n-gram in one pass through
-// the kernel; per-language backends walk the languages×grams loop.
-func (c *Classifier) accumulateInto(counts []int, gs []uint32) {
-	if c.fused != nil {
-		c.fused.AccumulateInto(counts, gs)
-		return
-	}
-	for i, m := range c.matchers {
-		count := 0
-		for _, g := range gs {
-			if m.Test(g) {
-				count++
-			}
-		}
-		counts[i] += count
-	}
 }
 
 func (r *Result) selectWinners() {

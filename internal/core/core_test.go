@@ -39,6 +39,12 @@ func trainMini(t testing.TB, cfg Config) *ProfileSet {
 	return ps
 }
 
+// classify runs the counter-level pipeline over one raw document:
+// n-gram extraction, then ClassifyGrams.
+func classify(c *Classifier, doc []byte) Result {
+	return c.ClassifyGrams(c.ExtractGrams(nil, doc))
+}
+
 func TestConfigDefaults(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.N != 4 || cfg.TopT != 5000 || cfg.K != 4 || cfg.MBits != 16*1024 {
@@ -145,7 +151,7 @@ func TestClassifyAllBackendsAgreeOnEasyDocs(t *testing.T) {
 		correct, total := 0, 0
 		for _, lang := range corp.Languages {
 			for _, d := range corp.Test[lang] {
-				r := c.Classify(d.Text)
+				r := classify(c, d.Text)
 				if r.BestLanguage(c.Languages()) == lang {
 					correct++
 				}
@@ -165,7 +171,7 @@ func TestClassifyEmptyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.Classify(nil)
+	r := classify(c, nil)
 	if r.Best != -1 || r.Second != -1 || r.NGrams != 0 {
 		t.Errorf("empty doc result = %+v, want no winner", r)
 	}
@@ -181,7 +187,7 @@ func TestClassifyShortDocument(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 200})
 	c, _ := New(ps, BackendDirect)
 	// Shorter than n: no n-grams.
-	r := c.Classify([]byte("abc"))
+	r := classify(c, []byte("abc"))
 	if r.NGrams != 0 {
 		t.Errorf("3-byte doc produced %d n-grams", r.NGrams)
 	}
@@ -202,8 +208,8 @@ func TestBloomNeverUndercountsDirect(t *testing.T) {
 	corp := getMiniCorpus(t)
 	for _, lang := range corp.Languages {
 		for _, d := range corp.Test[lang][:3] {
-			rb := bloomC.Classify(d.Text)
-			rd := directC.Classify(d.Text)
+			rb := classify(bloomC, d.Text)
+			rd := classify(directC, d.Text)
 			for i := range rb.Counts {
 				if rb.Counts[i] < rd.Counts[i] {
 					t.Fatalf("bloom count %d < direct count %d for language %s",
@@ -226,8 +232,8 @@ func TestSubsampleReducesNGrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	rSub := c.Classify(doc)
-	rFull := full.Classify(doc)
+	rSub := classify(c, doc)
+	rFull := classify(full, doc)
 	if rSub.NGrams >= rFull.NGrams {
 		t.Errorf("subsampled %d n-grams >= full %d", rSub.NGrams, rFull.NGrams)
 	}
@@ -261,9 +267,11 @@ func TestFilterAccessor(t *testing.T) {
 	if b.Filter(0) == nil {
 		t.Error("bloom backend returned nil filter")
 	}
-	d, _ := New(ps, BackendDirect)
-	if d.Filter(0) != nil {
-		t.Error("direct backend returned a bloom filter")
+	for _, backend := range []Backend{BackendDirect, BackendClassic, BackendBlocked} {
+		c, _ := New(ps, backend)
+		if c.Filter(0) != nil {
+			t.Errorf("%v backend returned a parallel bloom filter", backend)
+		}
 	}
 }
 
@@ -272,7 +280,7 @@ func TestClassifierDeterministicAcrossConstructions(t *testing.T) {
 	a, _ := New(ps, BackendBloom)
 	b, _ := New(ps, BackendBloom)
 	doc := getMiniCorpus(t).Test["fi"][0].Text
-	ra, rb := a.Classify(doc), b.Classify(doc)
+	ra, rb := classify(a, doc), classify(b, doc)
 	for i := range ra.Counts {
 		if ra.Counts[i] != rb.Counts[i] {
 			t.Fatalf("counts differ between identically-seeded classifiers")

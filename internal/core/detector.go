@@ -51,8 +51,6 @@ type detectorOptions struct {
 type DetectorOption func(*detectorOptions)
 
 // WithBackend selects the membership backend (default BackendBloom).
-// Ignored by NewDetectorFromClassifier, where the classifier already
-// fixed the backend.
 func WithBackend(b Backend) DetectorOption {
 	return func(o *detectorOptions) { o.backend = b }
 }
@@ -64,9 +62,9 @@ func WithWorkers(n int) DetectorOption {
 
 // WithMinMargin makes Detect return Unknown when the normalized winner
 // margin falls below m. The default 0 accepts everything, including
-// exact ties (broken towards the lexicographically earlier language, as
-// the legacy Classifier did); any positive threshold turns ties into
-// explicit Unknown outcomes.
+// exact ties (broken towards the lexicographically earlier language,
+// as ClassifyGrams breaks them); any positive threshold turns ties
+// into explicit Unknown outcomes.
 func WithMinMargin(m float64) DetectorOption {
 	return func(o *detectorOptions) { o.minMargin = m }
 }
@@ -111,12 +109,6 @@ func NewDetector(ps *ProfileSet, opts ...DetectorOption) (*Detector, error) {
 	return newDetector(clf, o), nil
 }
 
-// NewDetectorFromClassifier wraps an existing classifier; WithBackend
-// is ignored in favour of the classifier's own backend.
-func NewDetectorFromClassifier(clf *Classifier, opts ...DetectorOption) *Detector {
-	return newDetector(clf, gatherOptions(opts))
-}
-
 func gatherOptions(opts []DetectorOption) detectorOptions {
 	o := detectorOptions{backend: BackendBloom}
 	for _, opt := range opts {
@@ -146,8 +138,9 @@ func newDetector(clf *Classifier, o detectorOptions) *Detector {
 	return d
 }
 
-// Classifier returns the underlying classifier (for the simulator,
-// evaluation, and migration paths).
+// Classifier returns the underlying classifier, for callers that work
+// on pre-extracted n-grams (ClassifyGrams) or borrow the parallel-bloom
+// filters (Filter), as the hardware simulators do.
 func (d *Detector) Classifier() *Classifier { return d.clf }
 
 // Languages returns the detector's language inventory in rank order.
@@ -226,13 +219,6 @@ func (d *Detector) match(counts []int, ngrams int) Match {
 	}
 	m.Lang = d.clf.langs[best]
 	return m
-}
-
-// MatchResult converts a legacy Result into a Match under this
-// detector's thresholding policy — the bridge for callers migrating
-// from Classifier.Classify.
-func (d *Detector) MatchResult(r Result) Match {
-	return d.match(r.Counts, r.NGrams)
 }
 
 // Rank returns the top k languages by match count, best first; k <= 0
@@ -334,46 +320,3 @@ func (d *Detector) DetectReader(r io.Reader) (Match, error) {
 	}
 	return st.Match(), nil
 }
-
-// Stream classifies one document incrementally under the detector's
-// policy: bytes arrive in arbitrary chunks via Write, and Match reports
-// the decision over everything written so far. Reset starts the next
-// document. A Stream is not safe for concurrent use; create one per
-// goroutine.
-type Stream struct {
-	d  *Detector
-	ds *DocumentStream
-}
-
-// NewStream starts an empty document stream on the detector.
-func (d *Detector) NewStream() *Stream {
-	return &Stream{d: d, ds: d.clf.NewStream()}
-}
-
-// Write feeds the next chunk. It never fails; the error satisfies
-// io.Writer.
-func (s *Stream) Write(p []byte) (int, error) { return s.ds.Write(p) }
-
-// WriteString is Write for a string chunk without the []byte copy —
-// Stream is an io.StringWriter, so io.WriteString detects
-// JSON-decoded documents allocation-free.
-func (s *Stream) WriteString(p string) (int, error) { return s.ds.WriteString(p) }
-
-// Match returns the detection over everything written so far; the
-// stream stays usable for more chunks.
-func (s *Stream) Match() Match { return s.d.match(s.ds.counts, s.ds.ngrams) }
-
-// MatchCounts is Match that also copies the raw per-language match
-// counts so far into counts (len at least len(Languages()), in
-// Languages() order). It allocates nothing.
-func (s *Stream) MatchCounts(counts []int) Match {
-	copy(counts[:len(s.ds.counts)], s.ds.counts)
-	return s.Match()
-}
-
-// Result returns the legacy per-language counter view of the stream,
-// for callers that need raw counts alongside the Match.
-func (s *Stream) Result() Result { return s.ds.Result() }
-
-// Reset prepares the stream for a new document.
-func (s *Stream) Reset() { s.ds.Reset() }

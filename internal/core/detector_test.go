@@ -41,7 +41,7 @@ func TestWinnerSelectionEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMatchThresholding drives MatchResult through the margin and
+// TestMatchThresholding drives match through the margin and
 // n-gram floors on synthetic counters, including the tie and empty
 // cases the legacy API handled implicitly.
 func TestMatchThresholding(t *testing.T) {
@@ -108,7 +108,7 @@ func TestMatchThresholding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := det.MatchResult(Result{Counts: tc.counts, NGrams: tc.ngrams, Best: -1, Second: -1})
+			m := det.match(tc.counts, tc.ngrams)
 			if m.Unknown != tc.wantUnknown {
 				t.Fatalf("Unknown = %v, want %v (%+v)", m.Unknown, tc.wantUnknown, m)
 			}
@@ -152,18 +152,19 @@ func TestMatchSingleLanguageProfileSet(t *testing.T) {
 	}
 }
 
-// TestDetectorAgreesWithLegacyClassifier is the migration guarantee:
-// Detect, Rank, DetectBatch and DetectReader all name the same winner
-// as Classifier.Classify on every non-tie, non-unknown document.
+// TestDetectorAgreesWithLegacyClassifier pins Detect, Rank, DetectBatch
+// and DetectReader to the classifier's counter path (ExtractGrams then
+// ClassifyGrams): all name the same winner on every non-tie,
+// non-unknown document.
 func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
 	for _, backend := range []Backend{BackendBloom, BackendDirect, BackendClassic} {
-		clf, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend), WithWorkers(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		det := NewDetectorFromClassifier(clf, WithWorkers(3))
+		clf := det.Classifier()
 		var docs []corpus.Document
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			docs = append(docs, corp.Test[lang][:4]...)
@@ -173,7 +174,7 @@ func TestDetectorAgreesWithLegacyClassifier(t *testing.T) {
 			t.Fatalf("%v: %d batch results for %d docs", backend, len(batch), len(docs))
 		}
 		for i, doc := range docs {
-			legacy := clf.Classify(doc.Text)
+			legacy := classify(clf, doc.Text)
 			want := legacy.BestLanguage(clf.Languages())
 			if legacy.Margin() == 0 || want == "" {
 				continue // ties and unknowns are out of scope for the guarantee
@@ -360,7 +361,7 @@ func TestDetectCountsScratchBounded(t *testing.T) {
 
 // TestCountsPathsAgree checks every raw-counts entry point —
 // DetectCounts, DetectBatchCounts, Stream.MatchCounts and
-// SpanStream.MatchCounts — against Classifier.Classify's counts and
+// SpanStream.MatchCounts — against the counts ClassifyGrams reports and
 // Detect's Match, on every backend.
 func TestCountsPathsAgree(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
@@ -384,7 +385,7 @@ func TestCountsPathsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, doc := range docs {
-			want := det.Classifier().Classify(doc.Text).Counts
+			want := classify(det.Classifier(), doc.Text).Counts
 			wantMatch := det.Detect(doc.Text)
 			counts := make([]int, L)
 			check := func(path string, m Match, got []int) {

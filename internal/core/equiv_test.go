@@ -3,15 +3,14 @@ package core
 // Equivalence guarantees the serving layer leans on: every backend —
 // the fused blocked kernel included — produces the identical decision
 // on every input path (one-shot bytes, reader, incremental stream,
-// batch), a document fed to DocumentStream in any chunking — including
-// splits landing mid-n-gram — produces the identical Result as
-// one-shot classification, and the engine's parallel fan-out returns
+// batch), a document fed to a Stream in any chunking — including
+// splits landing mid-n-gram — produces the identical counts and Match
+// as one-shot detection, and DetectBatch's parallel fan-out returns
 // results in input order at any worker count.
 
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -21,16 +20,16 @@ import (
 	"bloomlang/internal/ngram"
 )
 
-// equivBackends is the full built-in backend matrix the equivalence
-// suite runs over.
+// equivBackends is the backend matrix the equivalence suite runs over:
+// the four built-ins plus the custom Kernel backend_test.go registers.
 var equivBackends = []Backend{BackendBloom, BackendDirect, BackendClassic, BackendBlocked}
 
-// TestDetectEquivalenceAcrossPaths pins Detect ≡ Classify ≡ Rank over
-// every built-in backend and every input path: the one-shot byte
+// TestDetectEquivalenceAcrossPaths pins Detect ≡ ClassifyGrams ≡ Rank
+// over every built-in backend and every input path: the one-shot byte
 // path, the io.Reader path, the incremental stream path, and the
 // batch path must all return the identical Match, Rank's head must
-// agree with Detect, and Match must be derivable from the legacy
-// Classify result.
+// agree with Detect, and Match must be derivable from the counter-level
+// ClassifyGrams result.
 func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	corp := getMiniCorpus(t)
@@ -83,7 +82,8 @@ func TestDetectEquivalenceAcrossPaths(t *testing.T) {
 					}
 				}
 
-				if got := det.MatchResult(clf.Classify(doc.Text)); got != want {
+				r := classify(clf, doc.Text)
+				if got := det.match(r.Counts, r.NGrams); got != want {
 					t.Errorf("doc %d: classify-derived match = %+v, detect = %+v", i, got, want)
 				}
 			}
@@ -112,13 +112,13 @@ func TestBlockedNeverFalseNegativeVsDirect(t *testing.T) {
 		for _, doc := range corp.Test[lang][:5] {
 			gs := direct.ExtractGrams(nil, doc.Text)
 			for _, g := range gs {
-				for i := range direct.matchers {
-					if direct.matchers[i].Test(g) && !blocked.matchers[i].Test(g) {
+				for i := range direct.langs {
+					if direct.kernel.Test(i, g) && !blocked.kernel.Test(i, g) {
 						t.Fatalf("blocked false negative: lang %s gram %#x", direct.langs[i], g)
 					}
 				}
 			}
-			dr, br := direct.Classify(doc.Text), blocked.Classify(doc.Text)
+			dr, br := classify(direct, doc.Text), classify(blocked, doc.Text)
 			for i := range dr.Counts {
 				if br.Counts[i] < dr.Counts[i] {
 					t.Errorf("%s: blocked count %d below exact count %d for %s",
@@ -149,24 +149,25 @@ func splitPoints(rng *rand.Rand, n, cuts int) []int {
 func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	for _, backend := range equivBackends {
-		c, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
+		counts := make([]int, len(det.Languages()))
 		for _, lang := range []string{"en", "es", "fi", "pt"} {
 			doc := getMiniCorpus(t).Test[lang][0].Text
-			want := c.Classify(doc)
-			s := c.NewStream()
+			want, wantMatch := classify(det.Classifier(), doc), det.Detect(doc)
+			s := det.NewStream()
 			for trial := 0; trial < 20; trial++ {
 				pts := splitPoints(rng, len(doc), 1+rng.Intn(12))
 				s.Reset()
 				for i := 1; i < len(pts); i++ {
 					s.Write(doc[pts[i-1]:pts[i]])
 				}
-				if got := s.Result(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: split %v: stream %+v != one-shot %+v",
-						backend, lang, pts, got, want)
+				if got := s.MatchCounts(counts); got != wantMatch || !slices.Equal(counts, want.Counts) {
+					t.Fatalf("%s/%s: split %v: stream %+v %v != one-shot %+v %v",
+						backend, lang, pts, got, counts, wantMatch, want.Counts)
 				}
 			}
 		}
@@ -179,7 +180,7 @@ func TestStreamArbitraryChunkSplitsMatchOneShot(t *testing.T) {
 func TestStreamMidNGramBoundarySplits(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
 	for _, backend := range []Backend{BackendBloom, BackendBlocked} {
-		c, err := New(ps, backend)
+		det, err := NewDetector(ps, WithBackend(backend))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,14 +188,15 @@ func TestStreamMidNGramBoundarySplits(t *testing.T) {
 		if len(doc) > 64 {
 			doc = doc[:64]
 		}
-		want := c.Classify(doc)
-		s := c.NewStream()
+		want, wantMatch := classify(det.Classifier(), doc), det.Detect(doc)
+		counts := make([]int, len(det.Languages()))
+		s := det.NewStream()
 		for cut := 0; cut <= len(doc); cut++ {
 			s.Reset()
 			s.Write(doc[:cut])
 			s.Write(doc[cut:])
-			if got := s.Result(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: cut at %d: stream %+v != one-shot %+v", backend, cut, got, want)
+			if got := s.MatchCounts(counts); got != wantMatch || !slices.Equal(counts, want.Counts) {
+				t.Fatalf("%s: cut at %d: stream %+v %v != one-shot %+v %v", backend, cut, got, counts, wantMatch, want.Counts)
 			}
 		}
 	}
@@ -202,10 +204,6 @@ func TestStreamMidNGramBoundarySplits(t *testing.T) {
 
 func TestClassifyAllPreservesInputOrder(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Interleave languages so a reordering cannot produce the same
 	// language sequence.
 	var docs []corpus.Document
@@ -217,22 +215,24 @@ func TestClassifyAllPreservesInputOrder(t *testing.T) {
 			wantLangs = append(wantLangs, lang)
 		}
 	}
-	want := make([]Result, len(docs))
-	for i, d := range docs {
-		want[i] = c.Classify(d.Text)
-	}
 	for _, workers := range []int{1, 3, len(docs) * 4} {
-		e := NewEngine(c, workers)
-		got := e.ClassifyAll(docs)
+		det, err := NewDetector(ps, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := len(det.Languages())
+		counts := make([]int, len(docs)*L)
+		got := det.DetectBatchCounts(docs, counts)
 		if len(got) != len(docs) {
 			t.Fatalf("workers=%d: %d results for %d docs", workers, len(got), len(docs))
 		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
+		for i, d := range docs {
+			want := classify(det.Classifier(), d.Text)
+			if got[i] != det.Detect(d.Text) || !slices.Equal(counts[i*L:(i+1)*L], want.Counts) {
 				t.Errorf("workers=%d: result %d differs from sequential", workers, i)
 			}
-			if lang := got[i].BestLanguage(c.Languages()); lang != wantLangs[i] {
-				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, lang, wantLangs[i])
+			if got[i].Lang != wantLangs[i] {
+				t.Errorf("workers=%d: position %d classified %q, want %q", workers, i, got[i].Lang, wantLangs[i])
 			}
 		}
 	}
@@ -241,15 +241,15 @@ func TestClassifyAllPreservesInputOrder(t *testing.T) {
 // referenceCounts is the test-only reference scorer the chunked
 // counting loop is held to: translate the whole document, slide the
 // n-gram window over it with ngram.Pack, keep every subsample-th
-// n-gram, and ask each language's own Test about each one.
+// n-gram, and ask the kernel's per-language Test about each one.
 func referenceCounts(c *Classifier, doc []byte) (counts []int, ngrams int) {
 	codes := alphabet.TranslateAll(doc)
 	n, sub := c.cfg.N, c.cfg.Subsample
-	counts = make([]int, len(c.matchers))
+	counts = make([]int, len(c.langs))
 	for i := 0; i+n <= len(codes); i += sub {
 		g := ngram.Pack(codes[i : i+n])
-		for l, m := range c.matchers {
-			if m.Test(g) {
+		for l := range counts {
+			if c.kernel.Test(l, g) {
 				counts[l]++
 			}
 		}
@@ -288,7 +288,7 @@ func chunkBoundaryLengths(n, sub int) []int {
 // TestChunkBoundaryEquivalence holds every counting entry point to the
 // whole-document reference at each chunk edge, on every backend, n-gram
 // length and subsample: DetectCounts, DetectBatchCounts, Rank,
-// Classify, and Stream and SpanStream fed the document in random
+// ClassifyGrams, and Stream and SpanStream fed the document in random
 // []byte and string pieces. Counts and Match must be identical.
 func TestChunkBoundaryEquivalence(t *testing.T) {
 	corp := getMiniCorpus(t)
@@ -318,7 +318,7 @@ func TestChunkBoundaryEquivalence(t *testing.T) {
 			}
 			for _, sub := range []int{1, 2, 3, 7} {
 				c := withSubsample(t, base, sub)
-				det := NewDetectorFromClassifier(c, WithWorkers(2))
+				det := newDetector(c, gatherOptions([]DetectorOption{WithWorkers(2)}))
 				L := len(c.langs)
 				lengths := chunkBoundaryLengths(n, sub)
 				docs := make([]corpus.Document, len(lengths))
@@ -345,8 +345,8 @@ func TestChunkBoundaryEquivalence(t *testing.T) {
 					}
 					check("DetectCounts", det.DetectCounts(doc.Text, counts), counts)
 					check("DetectBatchCounts", batch[i], batchCounts[i*L:(i+1)*L])
-					r := c.Classify(doc.Text)
-					check("Classify", det.MatchResult(r), r.Counts)
+					r := classify(c, doc.Text)
+					check("ClassifyGrams", det.match(r.Counts, r.NGrams), r.Counts)
 					if rk := det.Rank(doc.Text, 1); ngrams > 0 && rk[0].Count != wantMatch.Count {
 						t.Fatalf("%v n=%d sub=%d len=%d: Rank head %+v, want count %d",
 							backend, n, sub, len(doc.Text), rk[0], wantMatch.Count)

@@ -1,76 +1,76 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
-func miniEngine(t testing.TB, workers int) *Engine {
+func miniDetector(t testing.TB, workers int) *Detector {
 	t.Helper()
-	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
+	det, err := NewDetector(trainMini(t, Config{TopT: 1000}), WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(c, workers)
+	return det
 }
 
-func TestEngineDefaults(t *testing.T) {
-	e := miniEngine(t, 0)
-	if e.Workers() <= 0 {
-		t.Errorf("Workers = %d, want positive default", e.Workers())
+func TestDetectorDefaults(t *testing.T) {
+	d := miniDetector(t, 0)
+	if d.Workers() <= 0 {
+		t.Errorf("Workers = %d, want positive default", d.Workers())
 	}
-	if e.Classifier() == nil {
+	if d.Classifier() == nil {
 		t.Error("Classifier accessor nil")
 	}
 }
 
 func TestClassifyAllMatchesSequential(t *testing.T) {
-	e := miniEngine(t, 8)
+	d := miniDetector(t, 8)
 	corp := getMiniCorpus(t)
 	docs := corp.TestDocuments("")
-	par := e.ClassifyAll(docs)
-	c := e.Classifier()
-	for i, d := range docs {
-		seq := c.Classify(d.Text)
-		if par[i].Best != seq.Best || par[i].NGrams != seq.NGrams {
+	L := len(d.Languages())
+	counts := make([]int, len(docs)*L)
+	par := d.DetectBatchCounts(docs, counts)
+	for i, doc := range docs {
+		seq := classify(d.Classifier(), doc.Text)
+		if par[i] != d.Detect(doc.Text) || par[i].NGrams != seq.NGrams {
 			t.Fatalf("doc %d: parallel result differs from sequential", i)
 		}
-		for j := range seq.Counts {
-			if par[i].Counts[j] != seq.Counts[j] {
-				t.Fatalf("doc %d: count %d differs", i, j)
-			}
+		if !slices.Equal(counts[i*L:(i+1)*L], seq.Counts) {
+			t.Fatalf("doc %d: counts %v differ from sequential %v", i, counts[i*L:(i+1)*L], seq.Counts)
 		}
 	}
 }
 
 func TestClassifyAllEmpty(t *testing.T) {
-	e := miniEngine(t, 4)
-	if got := e.ClassifyAll(nil); len(got) != 0 {
-		t.Errorf("ClassifyAll(nil) returned %d results", len(got))
+	d := miniDetector(t, 4)
+	if got := d.DetectBatch(nil); len(got) != 0 {
+		t.Errorf("DetectBatch(nil) returned %d results", len(got))
 	}
 }
 
 func TestClassifyAllMoreWorkersThanDocs(t *testing.T) {
-	e := miniEngine(t, 64)
+	d := miniDetector(t, 64)
 	corp := getMiniCorpus(t)
 	docs := corp.Test["en"][:2]
-	results := e.ClassifyAll(docs)
+	results := d.DetectBatch(docs)
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
-	for i, r := range results {
-		if r.BestLanguage(e.Classifier().Languages()) != "en" {
+	for i, m := range results {
+		if m.Lang != "en" {
 			t.Errorf("doc %d misclassified", i)
 		}
 	}
 }
 
 func TestMeasure(t *testing.T) {
-	e := miniEngine(t, 0)
+	d := miniDetector(t, 0)
 	corp := getMiniCorpus(t)
 	docs := corp.TestDocuments("")
-	rep := e.Measure(docs)
+	rep := Measure(d, docs)
 	if rep.Docs != len(docs) {
 		t.Errorf("Docs = %d, want %d", rep.Docs, len(docs))
 	}
@@ -97,9 +97,9 @@ func TestThroughputReportMath(t *testing.T) {
 }
 
 func TestEvaluate(t *testing.T) {
-	e := miniEngine(t, 0)
+	d := miniDetector(t, 0)
 	corp := getMiniCorpus(t)
-	ev := e.Evaluate(corp)
+	ev := Evaluate(d, corp)
 	if ev.Docs == 0 {
 		t.Fatal("no documents evaluated")
 	}
@@ -132,21 +132,46 @@ func TestTopConfusion(t *testing.T) {
 	if !ok || truth != "es" || pred != "pt" || count != 8 {
 		t.Errorf("TopConfusion = %s->%s x%d ok=%v, want es->pt x8", truth, pred, count, ok)
 	}
+	// Equal counts resolve to the first (truth, predicted) pair in
+	// code order on every call, not in map order.
+	tied := Evaluation{Confusion: map[string]map[string]int{
+		"sv": {"sv": 9, "da": 3},
+		"et": {"et": 9, "fi": 3},
+		"es": {"es": 9, "pt": 3, "fr": 3},
+	}}
+	for i := 0; i < 20; i++ {
+		if truth, pred, _, _ := tied.TopConfusion(); truth != "es" || pred != "fr" {
+			t.Fatalf("tied TopConfusion = %s->%s, want es->fr", truth, pred)
+		}
+	}
 	perfect := Evaluation{Confusion: map[string]map[string]int{"en": {"en": 5}}}
 	if _, _, _, ok := perfect.TopConfusion(); ok {
 		t.Error("perfect evaluation reported a confusion")
 	}
 }
 
-func TestEngineWorkerScalingConsistency(t *testing.T) {
-	// Same inputs, different worker counts: identical outputs.
+// TestEvaluateDeterministic pins Evaluate to bit-identical results on
+// repeated runs: Average is summed in a fixed language order, not in
+// map order, so it equals the in-order mean exactly every time. A
+// saturated filter (k=1, m=128) spreads the per-language accuracies so
+// a different summation order shows in the last bits.
+func TestEvaluateDeterministic(t *testing.T) {
+	d, err := NewDetector(trainMini(t, Config{TopT: 100, K: 1, MBits: 128}), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	corp := getMiniCorpus(t)
-	docs := corp.TestDocuments("")
-	r1 := miniEngine(t, 1).ClassifyAll(docs)
-	r8 := miniEngine(t, 8).ClassifyAll(docs)
-	for i := range r1 {
-		if r1[i].Best != r8[i].Best {
-			t.Fatalf("doc %d classified differently under different worker counts", i)
+	first := Evaluate(d, corp)
+	sum := 0.0
+	for _, lang := range first.Languages {
+		sum += first.PerLanguage[lang]
+	}
+	if want := sum / float64(len(first.PerLanguage)); first.Average != want {
+		t.Errorf("Average = %v, in-order mean = %v", first.Average, want)
+	}
+	for i := 0; i < 20; i++ {
+		if ev := Evaluate(d, corp); !reflect.DeepEqual(ev, first) {
+			t.Fatalf("run %d: %+v differs from first run %+v", i, ev, first)
 		}
 	}
 }

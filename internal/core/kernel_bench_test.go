@@ -31,7 +31,7 @@ func BenchmarkKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.accumulateInto(counts, gs)
+				c.kernel.AccumulateInto(counts, gs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gs)), "ns/ngram")
 		})

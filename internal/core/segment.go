@@ -8,15 +8,13 @@ package core
 //
 // The mechanism reuses the match-counting inner loop unchanged and runs
 // it exactly once per document. The n-gram stream is cut into stride-
-// sized chunks; each chunk's per-language counts are accumulated through
-// the classifier's one accumulateInto pass (the fused blocked and direct
-// kernels score all languages per n-gram in that pass, the
-// Matcher-shaped backends walk their languages×grams loop) into a ring
-// of Window/Stride rows. A sliding window of Window n-grams is then the
-// rolling sum of the ring — adding the newest chunk row and subtracting
-// the oldest — so per-window scoring costs O(L) per stride regardless
-// of window size, and no n-gram is ever re-extracted or re-hashed for a
-// second window. Window arg-max decisions pass through hysteresis (a new
+// sized chunks; each chunk's per-language counts are accumulated by one
+// pass of the backend's kernel (which scores every language per
+// n-gram) into a ring of Window/Stride rows. A sliding window of Window
+// n-grams is then the rolling sum of the ring — adding the newest chunk
+// row and subtracting the oldest — so per-window scoring costs O(L) per
+// stride regardless of window size, and no n-gram is ever re-extracted
+// or re-hashed for a second window. Window arg-max decisions pass through hysteresis (a new
 // language must win Hysteresis consecutive windows before a boundary is
 // emitted) and adjacent same-language windows merge into Spans.
 
@@ -366,7 +364,7 @@ func (s *SpanStream) completeChunk(chunk []uint32) {
 	for i := range row {
 		row[i] = 0
 	}
-	s.d.clf.accumulateInto(row, chunk)
+	s.d.clf.kernel.AccumulateInto(row, chunk)
 	for i, v := range row {
 		s.win[i] += v
 		s.totals[i] += v
@@ -503,7 +501,7 @@ func (s *SpanStream) Spans() []Span { return s.spans }
 // and the complete tiling of [0, bytes written) is returned. A
 // document that never filled one window is decided whole, exactly as
 // Detect would decide it. After Finish the stream rejects further
-// writes until Reset; Match and Result stay readable.
+// writes until Reset; Match stays readable.
 func (s *SpanStream) Finish() []Span {
 	if s.done {
 		return s.spans
@@ -511,7 +509,7 @@ func (s *SpanStream) Finish() []Span {
 	s.done = true
 	if s.chunkFill > 0 {
 		tmp := s.scratchCounts()
-		s.d.clf.accumulateInto(tmp, s.chunkBuf[:s.chunkFill])
+		s.d.clf.kernel.AccumulateInto(tmp, s.chunkBuf[:s.chunkFill])
 		for i, v := range tmp {
 			s.totals[i] += v
 		}
@@ -556,22 +554,12 @@ func (s *SpanStream) MatchCounts(counts []int) Match {
 	if s.chunkFill > 0 {
 		// Fold the buffered tail into the copy; the tail's real pass
 		// happens when its chunk completes or at Finish.
-		s.d.clf.accumulateInto(counts, s.chunkBuf[:s.chunkFill])
+		s.d.clf.kernel.AccumulateInto(counts, s.chunkBuf[:s.chunkFill])
 	}
 	for i, v := range s.totals {
 		counts[i] += v
 	}
 	return s.d.match(counts, s.gramsSeen)
-}
-
-// Result returns the legacy per-language counter view of everything
-// written so far, for callers that need raw counts alongside the
-// spans.
-func (s *SpanStream) Result() Result {
-	r := Result{Counts: make([]int, s.langs), NGrams: s.gramsSeen, Best: -1, Second: -1}
-	s.MatchCounts(r.Counts)
-	r.selectWinners()
-	return r
 }
 
 // scratchCounts returns the zeroed language-count scratch row.

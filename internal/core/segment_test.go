@@ -327,7 +327,7 @@ func TestSpanStreamMatchAgreesWithDetect(t *testing.T) {
 				if got, want := st.Match(), det.Detect(doc[:cut]); got != want {
 					t.Errorf("prefix %d: stream match %+v != detect %+v", cut, got, want)
 				}
-				if got, want := st.Result().NGrams, det.Detect(doc[:cut]).NGrams; got != want {
+				if got, want := st.Match().NGrams, det.Detect(doc[:cut]).NGrams; got != want {
 					t.Errorf("prefix %d: stream result ngrams %d != %d", cut, got, want)
 				}
 			}

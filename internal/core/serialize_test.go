@@ -60,7 +60,7 @@ func TestProfileSetRoundTripProducesIdenticalClassifier(t *testing.T) {
 	}
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		doc := getMiniCorpus(t).Test[lang][0].Text
-		a, b := orig.Classify(doc), fromDisk.Classify(doc)
+		a, b := classify(orig, doc), classify(fromDisk, doc)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: classifier from reloaded profiles disagrees: %+v vs %+v", lang, a, b)
 		}
@@ -138,7 +138,7 @@ func TestProfileSetBlockedLayoutRoundTrip(t *testing.T) {
 	}
 	for _, lang := range []string{"en", "es", "fi", "pt"} {
 		doc := getMiniCorpus(t).Test[lang][0].Text
-		a, b := want.Classify(doc), got.Classify(doc)
+		a, b := classify(want, doc), classify(got, doc)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: classifier from embedded layout disagrees: %+v vs %+v", lang, a, b)
 		}

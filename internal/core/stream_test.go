@@ -3,21 +3,23 @@ package core
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 )
 
 func TestStreamMatchesBatch(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
+	det, err := NewDetector(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := getMiniCorpus(t).Test["es"][0].Text
-	want := c.Classify(doc)
+	want, wantMatch := classify(det.Classifier(), doc), det.Detect(doc)
+	counts := make([]int, len(det.Languages()))
 
 	// Feed the same document in chunks of varying sizes.
 	for _, chunk := range []int{1, 3, 7, 64, len(doc)} {
-		s := c.NewStream()
+		s := det.NewStream()
 		for off := 0; off < len(doc); off += chunk {
 			end := off + chunk
 			if end > len(doc) {
@@ -28,54 +30,53 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("Write = %d, %v", n, err)
 			}
 		}
-		got := s.Result()
+		got := s.MatchCounts(counts)
 		if got.NGrams != want.NGrams {
 			t.Fatalf("chunk %d: NGrams %d != batch %d", chunk, got.NGrams, want.NGrams)
 		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("chunk %d: count %d differs", chunk, i)
-			}
+		if !slices.Equal(counts, want.Counts) {
+			t.Fatalf("chunk %d: counts %v != batch %v", chunk, counts, want.Counts)
 		}
-		if got.Best != want.Best {
-			t.Fatalf("chunk %d: winner differs", chunk)
+		if got != wantMatch {
+			t.Fatalf("chunk %d: match %+v != batch %+v", chunk, got, wantMatch)
 		}
 	}
 }
 
 func TestStreamImplementsWriter(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
-	c, _ := New(ps, BackendDirect)
-	s := c.NewStream()
+	det, _ := NewDetector(ps, WithBackend(BackendDirect))
+	s := det.NewStream()
 	var _ io.Writer = s
+	var _ io.StringWriter = s
 	doc := getMiniCorpus(t).Test["en"][0].Text
 	if _, err := io.Copy(s, bytes.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
-	r := s.Result()
-	if r.BestLanguage(c.Languages()) != "en" {
-		t.Errorf("io.Copy path classified as %q", r.BestLanguage(c.Languages()))
+	if m := s.Match(); m.Lang != "en" {
+		t.Errorf("io.Copy path classified as %q", m.Lang)
 	}
 }
 
 func TestStreamIntermediateResults(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, _ := New(ps, BackendBloom)
+	det, _ := NewDetector(ps)
 	doc := getMiniCorpus(t).Test["fi"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
+	mid, full := make([]int, len(det.Languages())), make([]int, len(det.Languages()))
 	s.Write(doc[:len(doc)/2])
-	mid := s.Result()
+	midM := s.MatchCounts(mid)
 	s.Write(doc[len(doc)/2:])
-	full := s.Result()
-	if mid.NGrams >= full.NGrams {
+	fullM := s.MatchCounts(full)
+	if midM.NGrams >= fullM.NGrams {
 		t.Error("intermediate result saw as many n-grams as the full document")
 	}
-	if mid.NGrams == 0 {
+	if midM.NGrams == 0 {
 		t.Error("no n-grams at midpoint")
 	}
 	// Counts only grow.
-	for i := range mid.Counts {
-		if full.Counts[i] < mid.Counts[i] {
+	for i := range mid {
+		if full[i] < mid[i] {
 			t.Error("counts decreased as the stream grew")
 		}
 	}
@@ -83,39 +84,35 @@ func TestStreamIntermediateResults(t *testing.T) {
 
 func TestStreamReset(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 1000})
-	c, _ := New(ps, BackendBloom)
+	det, _ := NewDetector(ps)
 	docA := getMiniCorpus(t).Test["en"][0].Text
 	docB := getMiniCorpus(t).Test["pt"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	s.Write(docA)
 	s.Reset()
 	s.Write(docB)
-	got := s.Result()
-	want := c.Classify(docB)
-	if got.NGrams != want.NGrams || got.Best != want.Best {
-		t.Error("Reset leaked state from the previous document")
+	if got, want := s.Match(), det.Detect(docB); got != want {
+		t.Errorf("Reset leaked state from the previous document: %+v != %+v", got, want)
 	}
 }
 
 func TestStreamEmpty(t *testing.T) {
 	ps := trainMini(t, Config{TopT: 500})
-	c, _ := New(ps, BackendDirect)
-	s := c.NewStream()
-	r := s.Result()
-	if r.Best != -1 || r.NGrams != 0 {
-		t.Errorf("empty stream result = %+v", r)
+	det, _ := NewDetector(ps, WithBackend(BackendDirect))
+	if m := det.NewStream().Match(); !m.Unknown || m.NGrams != 0 || m.Lang != "" {
+		t.Errorf("empty stream match = %+v", m)
 	}
 }
 
 func TestStreamSubsample(t *testing.T) {
 	cfg := Config{TopT: 500, Subsample: 2}
 	ps := trainMini(t, cfg)
-	c, _ := New(ps, BackendDirect)
+	det, _ := NewDetector(ps, WithBackend(BackendDirect))
 	doc := getMiniCorpus(t).Test["en"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	s.Write(doc)
-	got := s.Result()
-	want := c.Classify(doc)
+	got := s.Match()
+	want := classify(det.Classifier(), doc)
 	if got.NGrams != want.NGrams {
 		t.Errorf("subsampled stream NGrams %d != batch %d", got.NGrams, want.NGrams)
 	}
@@ -123,12 +120,12 @@ func TestStreamSubsample(t *testing.T) {
 
 func BenchmarkStreamWrite(b *testing.B) {
 	ps := trainMini(b, Config{TopT: 1000})
-	c, err := New(ps, BackendBloom)
+	det, err := NewDetector(ps)
 	if err != nil {
 		b.Fatal(err)
 	}
 	doc := getMiniCorpus(b).Test["en"][0].Text
-	s := c.NewStream()
+	s := det.NewStream()
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -64,7 +64,7 @@ func TestPipelineMatchesFunctional(t *testing.T) {
 	for _, lang := range corp.Languages {
 		for _, d := range corp.Test[lang][:3] {
 			counters, _ := p.RunDocument(d.Text)
-			want := c.Classify(d.Text)
+			want := c.ClassifyGrams(c.ExtractGrams(nil, d.Text))
 			for l := range want.Counts {
 				if counters[l] != want.Counts[l] {
 					t.Fatalf("%s doc %d lang %d: RTL %d != functional %d",
@@ -97,14 +97,14 @@ func TestPipelineOddLengthDocument(t *testing.T) {
 	doc := []byte("seven ch") // 8 bytes
 	odd := []byte("seven chr")
 	countersEven, _ := p.RunDocument(doc)
-	wantEven := c.Classify(doc)
+	wantEven := c.ClassifyGrams(c.ExtractGrams(nil, doc))
 	for l := range wantEven.Counts {
 		if countersEven[l] != wantEven.Counts[l] {
 			t.Fatal("even-length mismatch")
 		}
 	}
 	countersOdd, _ := p.RunDocument(odd)
-	wantOdd := c.Classify(odd)
+	wantOdd := c.ClassifyGrams(c.ExtractGrams(nil, odd))
 	for l := range wantOdd.Counts {
 		if countersOdd[l] != wantOdd.Counts[l] {
 			t.Fatal("odd-length mismatch")
@@ -117,7 +117,7 @@ func TestPipelineShortDocuments(t *testing.T) {
 	p, _ := New(c)
 	for _, doc := range []string{"", "a", "ab", "abc", "abcd", "abcde"} {
 		counters, _ := p.RunDocument([]byte(doc))
-		want := c.Classify([]byte(doc))
+		want := c.ClassifyGrams(c.ExtractGrams(nil, []byte(doc)))
 		for l := range want.Counts {
 			if counters[l] != want.Counts[l] {
 				t.Errorf("%q: RTL %v != functional %v", doc, counters, want.Counts)
@@ -133,7 +133,7 @@ func TestPipelineResetBetweenDocuments(t *testing.T) {
 	docB := corp.Test["es"][0].Text
 	p.RunDocument(docA)
 	counters, _ := p.RunDocument(docB) // RunDocument resets internally
-	want := c.Classify(docB)
+	want := c.ClassifyGrams(c.ExtractGrams(nil, docB))
 	for l := range want.Counts {
 		if counters[l] != want.Counts[l] {
 			t.Fatal("state leaked between documents")
@@ -153,7 +153,7 @@ func TestPipelineIncrementalClocking(t *testing.T) {
 		p.Clock(code, 0, 1)
 	}
 	p.Drain()
-	want := c.Classify(doc)
+	want := c.ClassifyGrams(c.ExtractGrams(nil, doc))
 	got := p.Counters()
 	for l := range want.Counts {
 		if got[l] != want.Counts[l] {

@@ -18,7 +18,7 @@ import (
 
 // paperDoc concatenates held-out documents of one language into a
 // document of n bytes, about the paper's ~1300-word document.
-func paperDoc(t *testing.T, lang string, n int) []byte {
+func paperDoc(t testing.TB, lang string, n int) []byte {
 	t.Helper()
 	corp, _ := fixtures(t)
 	var doc []byte

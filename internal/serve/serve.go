@@ -131,25 +131,16 @@ func New(ps *core.ProfileSet, cfg Config) (*Server, error) {
 	if err := cfg.Segment.Validate(); err != nil {
 		return nil, err
 	}
-	clf, err := core.New(ps, cfg.Backend)
+	det, err := core.NewDetector(ps, cfg.detectorOptions()...)
 	if err != nil {
 		return nil, err
 	}
-	return NewFromClassifier(clf, cfg), nil
-}
-
-// NewFromClassifier wraps an existing classifier; cfg.Backend is
-// ignored in favour of the classifier's own.
-func NewFromClassifier(clf *core.Classifier, cfg Config) *Server {
-	cfg.applyDefaults()
-	cfg.Backend = clf.Backend()
-	s := &Server{
-		cfg:   cfg,
-		reg:   cfg.Registry,
-		start: time.Now(),
-	}
-	s.handle = registry.NewHandle(s.buildDetector(clf), "")
-	return s
+	return &Server{
+		cfg:    cfg,
+		handle: registry.NewHandle(det, ""),
+		reg:    cfg.Registry,
+		start:  time.Now(),
+	}, nil
 }
 
 // NewFromRegistry builds a server from the registry's active profile
@@ -170,20 +161,20 @@ func NewFromRegistry(reg *registry.Registry, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildDetector applies the server's detection policy to a classifier.
-func (s *Server) buildDetector(clf *core.Classifier) *core.Detector {
-	return core.NewDetectorFromClassifier(clf,
-		core.WithWorkers(s.cfg.Workers),
-		core.WithMinMargin(s.cfg.MinMargin),
-		core.WithMinNGrams(s.cfg.MinNGrams))
+// detectorOptions is the server's detection policy: backend, batch
+// fan-out and the unknown thresholds.
+func (c *Config) detectorOptions() []core.DetectorOption {
+	return []core.DetectorOption{
+		core.WithBackend(c.Backend),
+		core.WithWorkers(c.Workers),
+		core.WithMinMargin(c.MinMargin),
+		core.WithMinNGrams(c.MinNGrams),
+	}
 }
 
 // Detector returns the detector currently serving requests. Callers
 // needing the detector and its version to agree should use Snapshot.
 func (s *Server) Detector() *core.Detector { return s.handle.Detector() }
-
-// Classifier returns the classifier currently serving requests.
-func (s *Server) Classifier() *core.Classifier { return s.handle.Detector().Classifier() }
 
 // Snapshot returns the current (detector, version) pairing.
 func (s *Server) Snapshot() *registry.Snapshot { return s.handle.Snapshot() }
@@ -237,11 +228,10 @@ func (s *Server) Reload() (ReloadStatus, error) {
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	clf, err := core.New(ps, s.cfg.Backend)
+	det, err := core.NewDetector(ps, s.cfg.detectorOptions()...)
 	if err != nil {
 		return ReloadStatus{}, err
 	}
-	det := s.buildDetector(clf)
 	s.handle.Swap(det, m.Version)
 	return ReloadStatus{Previous: prev, Active: m.Version, Changed: true, Languages: det.Languages()}, nil
 }
@@ -531,9 +521,8 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpo
 	}
 	spans, err := det.DetectSpans(body, s.cfg.Segment)
 	if err != nil {
-		// Geometry is validated at construction on the New path; an
-		// error here means an embedder handed NewFromClassifier a bad
-		// config.
+		// New validates the geometry, so this is unreachable; answer
+		// 500 rather than panic if that ever changes.
 		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
@@ -611,8 +600,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 // handleStream reads NDJSON documents (one JSON string or {id, text}
 // object per line) and writes one NDJSON Detection per line, flushed as
 // produced. The whole exchange uses bounded memory regardless of how
-// many documents flow through: one line buffer, one DocumentStream
-// reset at each document boundary — the software mirror of the
+// many documents flow through: one line buffer, one core.Stream reset
+// at each document boundary — the software mirror of the
 // hardware's End-of-Document marker in the DMA stream (§3.3). The
 // stream keeps its request-start detector for its whole life, even
 // across hot swaps. With ?spans=1 every result line also carries the
@@ -626,9 +615,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	if queryFlag(r, "spans") {
 		var err error
 		if spanStream, err = det.NewSpanStream(s.cfg.Segment); err != nil {
-			// Geometry is validated at construction on the New path; an
-			// error here means an embedder handed NewFromClassifier a bad
-			// config.
+			// New validates the geometry, so this is unreachable; answer
+			// 500 rather than panic if that ever changes.
 			jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 			return
 		}

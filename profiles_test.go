@@ -3,6 +3,7 @@ package bloomlang
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -30,20 +31,20 @@ func TestSaveLoadProfiles(t *testing.T) {
 	}
 	// A classifier built from reloaded profiles classifies identically:
 	// the Config seed is what fixes the hash matrices.
-	a, err := NewClassifier(ps, BackendBloom)
+	a, err := NewDetector(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewClassifier(back, BackendBloom)
+	b, err := NewDetector(back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := fixCorpus.Test["fr"][0].Text
-	ra, rb := a.Classify(doc), b.Classify(doc)
-	for i := range ra.Counts {
-		if ra.Counts[i] != rb.Counts[i] {
-			t.Fatal("reloaded profiles classify differently")
-		}
+	ca, cb := make([]int, len(a.Languages())), make([]int, len(b.Languages()))
+	a.DetectCounts(doc, ca)
+	b.DetectCounts(doc, cb)
+	if !slices.Equal(ca, cb) {
+		t.Fatal("reloaded profiles classify differently")
 	}
 }
 
@@ -74,21 +75,19 @@ func TestReadProfilesErrors(t *testing.T) {
 	}
 }
 
-func TestDocumentStreamPublicAPI(t *testing.T) {
+func TestStreamPublicAPI(t *testing.T) {
 	corp, ps := fixtures(t)
-	clf, err := NewClassifier(ps, BackendBloom)
+	det, err := NewDetector(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := corp.Test["sv"][0].Text
-	s := NewDocumentStream(clf)
+	s := det.NewStream()
 	half := len(doc) / 2
 	s.Write(doc[:half])
 	s.Write(doc[half:])
-	got := s.Result()
-	want := clf.Classify(doc)
-	if got.Best != want.Best || got.NGrams != want.NGrams {
-		t.Error("streamed result differs from batch result")
+	if got, want := s.Match(), det.Detect(doc); got != want {
+		t.Errorf("streamed match %+v differs from one-shot %+v", got, want)
 	}
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Run the Detect benchmarks and the per-layer benchmarks (alphabet
-# translation, n-gram extraction, membership kernels) and write the
-# results as JSON so the performance trajectory is tracked per PR.
+# Run the Detect benchmarks, the per-layer benchmarks (alphabet
+# translation, n-gram extraction, membership kernels) and the
+# in-process serving benchmarks (BenchmarkServe/*: one request per
+# endpoint through the HTTP handler) and write the results as JSON so
+# the performance trajectory is tracked per PR.
 # Usage:
 #
 #   scripts/bench.sh [OUT.json] [BENCHTIME]
@@ -20,8 +22,9 @@
 # benchmark sets its byte count. The run fails if a gated benchmark's
 # head median is more than 20% slower than its base median. Gated are
 # the single-document Detect hot path (BenchmarkDetector,
-# BenchmarkDetectorBackends/*), segmentation (BenchmarkDetectSpans/*)
-# and the membership kernels (BenchmarkKernel/*); Rank/Batch allocate
+# BenchmarkDetectorBackends/*), segmentation (BenchmarkDetectSpans/*),
+# the membership kernels (BenchmarkKernel/*) and the serving handler
+# per endpoint (BenchmarkServe/*); Rank/Batch allocate
 # or fan out by design, and the translation and extraction layers
 # (BenchmarkTranslateInto, BenchmarkExtract*) are inputs to the gated
 # paths, so those are tracked but not gated. A benchmark the base lacks
@@ -32,7 +35,7 @@ out=${1:-BENCH.json}
 benchtime=${2:-200ms}
 base_ref=${BASE_REF:-}
 regression_pct=20
-pattern='Detect|Kernel|TranslateInto|Extract'
+pattern='Detect|Kernel|TranslateInto|Extract|Serve'
 if [ -n "$base_ref" ]; then count=5; else count=1; fi
 
 out=$(cd "$(dirname "$out")" && pwd)/$(basename "$out")
@@ -111,7 +114,7 @@ median() {
 
 gated() {
   case $1 in
-    BenchmarkDetector | BenchmarkDetectorBackends/* | BenchmarkDetectSpans/* | BenchmarkKernel/*) return 0 ;;
+    BenchmarkDetector | BenchmarkDetectorBackends/* | BenchmarkDetectSpans/* | BenchmarkKernel/* | BenchmarkServe/*) return 0 ;;
   esac
   return 1
 }

@@ -29,12 +29,6 @@ func NewServer(ps *ProfileSet, cfg ServeConfig) (*Server, error) {
 	return serve.New(ps, cfg)
 }
 
-// NewServerFromClassifier wraps an already-built classifier in the
-// serving subsystem.
-func NewServerFromClassifier(clf *Classifier, cfg ServeConfig) *Server {
-	return serve.NewFromClassifier(clf, cfg)
-}
-
 // ReloadStatus reports one profile hot-swap outcome.
 type ReloadStatus = serve.ReloadStatus
 
