@@ -8,15 +8,18 @@ package core
 //
 // The mechanism reuses the match-counting inner loop unchanged and runs
 // it exactly once per document. The n-gram stream is cut into stride-
-// sized chunks; each chunk's per-language counts are accumulated by one
-// pass of the backend's kernel (which scores every language per
-// n-gram) into a ring of Window/Stride rows. A sliding window of Window
-// n-grams is then the rolling sum of the ring — adding the newest chunk
-// row and subtracting the oldest — so per-window scoring costs O(L) per
-// stride regardless of window size, and no n-gram is ever re-extracted
-// or re-hashed for a second window. Window arg-max decisions pass through hysteresis (a new
-// language must win Hysteresis consecutive windows before a boundary is
-// emitted) and adjacent same-language windows merge into Spans.
+// sized chunks; one pass of the backend's kernel (which scores every
+// language per n-gram) adds each chunk's per-language counts to the
+// running document totals. A ring of Window/Stride rows keeps the
+// totals as they stood at each of the last Window/Stride chunk ends, so
+// a sliding window of Window n-grams is the current totals minus the
+// oldest ring row: one pass over the L languages per stride reads the
+// window counts, picks the window's best and runner-up, and stores the
+// new ring row, whatever the window size, and no n-gram is ever
+// re-extracted or re-hashed for a second window. Window decisions pass
+// through hysteresis (a new language must win Hysteresis consecutive
+// windows before a boundary is emitted) and adjacent same-language
+// windows merge into Spans.
 
 import (
 	"fmt"
@@ -237,9 +240,9 @@ type SpanStream struct {
 	chunkBuf  []uint32 // the stride chunk being filled
 	chunkFill int
 
-	ring   []int     // rows × langs per-chunk match counts
-	win    []int     // rolling window counts (sum of the ring)
-	smooth []float64 // EWMA-smoothed window counts
+	ring   []int     // rows × langs: totals at each of the last rows chunk ends
+	head   int       // offset in ring of the row the next chunk replaces
+	smooth []float64 // EWMA-smoothed window counts (Smoothing > 0 only)
 	totals []int     // whole-document counts over completed chunks
 	tmp    []int     // scratch for folding the buffered tail into totals
 
@@ -288,19 +291,18 @@ func (s *SpanStream) configure(cfg SegmentConfig) {
 	} else {
 		s.ring = s.ring[:n]
 	}
-	if cap(s.win) < s.langs {
-		s.win = make([]int, s.langs)
+	// A zero ring makes the first windows' oldest row the empty
+	// document, so the stride loop needs no warm-up branch.
+	clear(s.ring)
+	s.head = 0
+	if cap(s.totals) < s.langs {
 		s.smooth = make([]float64, s.langs)
 		s.totals = make([]int, s.langs)
 	} else {
-		s.win = s.win[:s.langs]
 		s.smooth = s.smooth[:s.langs]
 		s.totals = s.totals[:s.langs]
 	}
-	for i := range s.win {
-		s.win[i] = 0
-		s.totals[i] = 0
-	}
+	clear(s.totals)
 	s.chunkFill, s.bytesSeen, s.gramsSeen, s.chunks, s.windows = 0, 0, 0, 0, 0
 	s.started, s.hasFlip, s.done = false, false, false
 	s.cur, s.flip = segRun{}, segRun{}
@@ -351,46 +353,63 @@ func writeSpans[S ngram.Text](s *SpanStream, p S) (int, error) {
 }
 
 // completeChunk scores one stride of n-grams — the single pass through
-// the classifier's counting loop these grams will ever take — and
-// rolls the window sum forward: the ring row being replaced leaves the
-// window, the fresh row enters it.
+// the classifier's counting loop these grams will ever take — straight
+// into the document totals, then rolls the window forward in one pass
+// over the languages: the window counts are the totals minus the ring
+// row written Window/Stride chunks ago, and the row takes the totals.
 func (s *SpanStream) completeChunk(chunk []uint32) {
-	row := s.ring[(s.chunks%s.rows)*s.langs:][:s.langs]
-	if s.chunks >= s.rows {
-		for i, v := range row {
-			s.win[i] -= v
-		}
-	}
-	for i := range row {
-		row[i] = 0
-	}
-	s.d.clf.kernel.AccumulateInto(row, chunk)
-	for i, v := range row {
-		s.win[i] += v
-		s.totals[i] += v
+	s.d.clf.kernel.AccumulateInto(s.totals, chunk)
+	row := s.ring[s.head:][:s.langs]
+	if s.head += s.langs; s.head == len(s.ring) {
+		s.head = 0
 	}
 	s.chunks++
+	if s.cfg.Smoothing != 0 {
+		s.smoothedWindow(row)
+		return
+	}
+	// Best and runner-up by value, ties to the lower index, without a
+	// branch per language. Window counts are never negative, so
+	// starting the runner-up at 0 is exact for L ≥ 2 and gives a
+	// one-language set its whole score as margin, as Detect does.
+	totals := s.totals[:len(row)]
+	best, top, second := 0, 0, 0
+	for i, t := range totals {
+		v := t - row[i]
+		row[i] = t
+		if v > top {
+			best = i
+		}
+		second = max(second, min(v, top))
+		top = max(top, v)
+	}
 	if s.chunks >= s.rows {
-		s.windowDone()
+		// float64 keeps the order and ties of integer counts and the
+		// integer difference is exact, so this is the decision, to the
+		// bit, that floatWinners takes on the counts as floats.
+		width := float64(s.cfg.Window)
+		s.windowDone(best, float64(top)/width, float64(top-second)/width)
 	}
 }
 
-// windowDone decides the window that just completed — smoothing,
-// arg-max, the detector's unknown policy — and feeds the decision to
-// the hysteresis merger.
-func (s *SpanStream) windowDone() {
-	w := s.chunks - s.rows // index of the completed window
+// smoothedWindow is completeChunk's window step under Smoothing: the
+// window counts feed an exponential moving average across successive
+// windows, and the decision is taken on the smoothed values.
+func (s *SpanStream) smoothedWindow(row []int) {
+	if s.chunks < s.rows {
+		copy(row, s.totals)
+		return
+	}
 	alpha := s.cfg.Smoothing
-	if s.windows == 0 || alpha == 0 {
-		for i, v := range s.win {
-			s.smooth[i] = float64(v)
-		}
-	} else {
-		for i, v := range s.win {
-			s.smooth[i] = alpha*s.smooth[i] + (1-alpha)*float64(v)
+	for i, t := range s.totals {
+		v := float64(t - row[i])
+		row[i] = t
+		if s.windows == 0 {
+			s.smooth[i] = v
+		} else {
+			s.smooth[i] = alpha*s.smooth[i] + (1-alpha)*v
 		}
 	}
-	s.windows++
 	best, second := floatWinners(s.smooth)
 	width := float64(s.cfg.Window)
 	score := s.smooth[best] / width
@@ -398,6 +417,14 @@ func (s *SpanStream) windowDone() {
 	if second >= 0 {
 		margin = (s.smooth[best] - s.smooth[second]) / width
 	}
+	s.windowDone(best, score, margin)
+}
+
+// windowDone applies the detector's unknown policy to the window that
+// just completed and feeds the decision to the hysteresis merger.
+func (s *SpanStream) windowDone(best int, score, margin float64) {
+	w := s.chunks - s.rows // index of the completed window
+	s.windows++
 	label := best
 	if s.cfg.Window < s.d.minNGrams || margin < s.d.minMargin {
 		label = unknownLabel
@@ -508,11 +535,7 @@ func (s *SpanStream) Finish() []Span {
 	}
 	s.done = true
 	if s.chunkFill > 0 {
-		tmp := s.scratchCounts()
-		s.d.clf.kernel.AccumulateInto(tmp, s.chunkBuf[:s.chunkFill])
-		for i, v := range tmp {
-			s.totals[i] += v
-		}
+		s.d.clf.kernel.AccumulateInto(s.totals, s.chunkBuf[:s.chunkFill])
 		s.chunkFill = 0
 	}
 	if s.bytesSeen == 0 {

@@ -89,6 +89,49 @@ func TestDetectBytesPerRequestBounded(t *testing.T) {
 	}
 }
 
+// TestSegmentBytesPerRequestBounded pins /segment's per-request
+// garbage the same way: the body and the response share the request's
+// pooled buffer, segmentation runs on the detector's pooled span
+// stream into a pooled span slice, and the response is appended by
+// hand, so what is left is the request plumbing itself. A
+// Content-Length that claims far more than arrives must not make the
+// server allocate the claim.
+func TestSegmentBytesPerRequestBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; CI runs this test again without -race")
+	}
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{Backend: core.BackendDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var doc []byte
+	for _, lang := range []string{"en", "fi", "es"} {
+		doc = append(doc, paperDoc(t, lang, 300)...)
+	}
+	honest := bytesPerRequest(t, h, 100, func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/segment", bytes.NewReader(doc))
+	})
+	lying := bytesPerRequest(t, h, 20, func() *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/segment", bytes.NewReader(doc))
+		r.ContentLength = 10 << 20 // the default MaxBodyBytes
+		return r
+	})
+	// A /healthz request through the same harness is the plumbing
+	// (request, recorder, headers) every request pays.
+	plumbing := bytesPerRequest(t, h, 100, func() *http.Request {
+		return httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	})
+	t.Logf("/segment: %.0f B per %d-byte request (/healthz %.0f B); %.0f B with an inflated Content-Length", honest, len(doc), plumbing, lying)
+	if limit := plumbing + float64(len(doc)); honest > limit {
+		t.Errorf("/segment allocates %.0f B per %d-byte request, want < %.0f (/healthz plus the body size)", honest, len(doc), limit)
+	}
+	if limit := float64(256 << 10); lying > limit {
+		t.Errorf("/segment with an inflated Content-Length allocates %.0f B per request, want < %.0f", lying, limit)
+	}
+}
+
 // TestBodyLimitBoundary checks the 413 mapping sits exactly at
 // MaxBodyBytes on the presized read path: a body of the limit is read,
 // one byte more is refused.

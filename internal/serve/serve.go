@@ -400,101 +400,65 @@ type Segmentation struct {
 	Spans []SpanDetection `json:"spans"`
 }
 
-// spanDetections converts core spans to the wire shape, counting them
-// on the endpoint's span counter.
-func spanDetections(spans []core.Span, st *endpointStats) []SpanDetection {
-	out := make([]SpanDetection, len(spans))
-	for i, sp := range spans {
-		out[i] = SpanDetection{
-			Start:    sp.Start,
-			End:      sp.End,
-			Language: sp.Lang,
-			Name:     corpus.Name(sp.Lang),
-			Score:    sp.Score,
-			Margin:   sp.Margin,
-			Unknown:  sp.Unknown,
-		}
-	}
-	st.spans.Add(int64(len(spans)))
-	return out
-}
-
-// detection converts a Match into the wire shape, attaching per-language
-// counts when given and bumping the endpoint's unknown counter. det
-// must be the detector that produced m, so language order agrees.
-func (s *Server) detection(det *core.Detector, id string, m core.Match, counts []int, st *endpointStats) Detection {
-	d := Detection{
-		ID:       id,
-		Language: m.Lang,
-		Name:     corpus.Name(m.Lang),
-		NGrams:   m.NGrams,
-		Count:    m.Count,
-		Score:    m.Score,
-		Margin:   m.Margin,
-		Unknown:  m.Unknown,
-	}
-	if counts != nil {
-		langs := det.Languages()
-		d.Counts = make(map[string]int, len(langs))
-		for i, l := range langs {
-			d.Counts[l] = counts[i]
-		}
-	}
-	if m.Unknown {
-		st.unknown.Add(1)
-	}
-	return d
-}
-
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	// One snapshot per request: a concurrent hot swap must not change
 	// the detector under a request that already started.
 	det := s.handle.Detector()
-	body, err := s.readBody(w, r)
-	if err != nil {
+	sc := getScratch(len(det.Languages()))
+	defer putScratch(sc)
+	if err := s.readBody(w, r, sc); err != nil {
 		httpReadError(w, err)
 		return
 	}
-	st.bytes.Add(int64(len(body)))
+	st.bytes.Add(int64(len(sc.buf)))
 	// /detect always reports per-language counts.
-	counts := make([]int, len(det.Languages()))
-	m := det.DetectCounts(body, counts)
+	m := det.DetectCounts(sc.buf, sc.counts)
 	if m.NGrams == 0 {
 		jsonError(w, http.StatusUnprocessableEntity, "document too short to classify")
 		return
 	}
 	st.docs.Add(1)
-	writeJSON(w, s.detection(det, "", m, counts, st))
+	if m.Unknown {
+		st.unknown.Add(1)
+	}
+	// The body is spent; the response reuses its buffer.
+	sc.buf = append(appendDetection(sc.buf[:0], &detection{m: m, langs: det.Languages(), counts: sc.counts}), '\n')
+	writeBody(w, sc.buf)
 }
 
 // bodyPresize caps the buffer a request body is first read into. A
 // body's Content-Length is a claim the client makes before sending it,
 // so the buffer starts at that claim only up to this cap and grows
-// past it as bytes actually arrive.
-const bodyPresize = 64 << 10
+// past it as bytes actually arrive. At the pool bound, a presized
+// buffer stays poolable.
+const bodyPresize = maxPooledBuf
 
-// readBody reads the request body under the MaxBodyBytes limit into a
-// buffer presized from Content-Length, so a typical document is read
-// in one allocation of its own size rather than by repeated doubling.
-// The MaxBytesReader error (413) and read-deadline errors (408) pass
-// through unchanged for httpReadError.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	size := r.ContentLength
-	if size < 0 || size > bodyPresize {
-		size = bodyPresize
-	}
+// readBody reads the request body under the MaxBodyBytes limit into
+// sc.buf, presized from Content-Length, so a typical document is read
+// into the pooled buffer, or one allocation of its own size, rather
+// than by repeated doubling. The MaxBytesReader error (413) and
+// read-deadline errors (408) pass through unchanged for httpReadError.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *reqScratch) error {
 	// One spare byte lets the read that reports EOF land without a
 	// grow when the body is exactly Content-Length bytes.
-	buf := make([]byte, 0, size+1)
+	size := r.ContentLength + 1
+	if r.ContentLength < 0 || size > bodyPresize {
+		size = bodyPresize
+	}
+	buf := sc.buf[:0]
+	if int64(cap(buf)) < size {
+		buf = make([]byte, 0, size)
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	for {
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
 		if err != nil {
-			return nil, err
+			sc.buf = buf
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -509,31 +473,30 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 // across concurrent profile hot swaps.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := s.readBody(w, r)
-	if err != nil {
+	sc := getScratch(0)
+	defer putScratch(sc)
+	if err := s.readBody(w, r, sc); err != nil {
 		httpReadError(w, err)
 		return
 	}
-	st.bytes.Add(int64(len(body)))
-	if len(body) == 0 {
+	n := len(sc.buf)
+	st.bytes.Add(int64(n))
+	if n == 0 {
 		jsonError(w, http.StatusUnprocessableEntity, "document is empty")
 		return
 	}
-	spans, err := det.DetectSpans(body, s.cfg.Segment)
-	if err != nil {
+	var err error
+	if sc.spans, err = det.AppendSpans(sc.spans[:0], sc.buf, s.cfg.Segment); err != nil {
 		// New validates the geometry, so this is unreachable; answer
 		// 500 rather than panic if that ever changes.
 		jsonError(w, http.StatusInternalServerError, "segmentation misconfigured: "+err.Error())
 		return
 	}
 	st.docs.Add(1)
+	st.spans.Add(int64(len(sc.spans)))
 	eff := s.cfg.Segment.WithDefaults()
-	writeJSON(w, Segmentation{
-		Bytes:  len(body),
-		Window: eff.Window,
-		Stride: eff.Stride,
-		Spans:  spanDetections(spans, st),
-	})
+	sc.buf = appendSegmentation(sc.buf[:0], n, eff.Window, eff.Stride, sc.spans)
+	writeBody(w, sc.buf)
 }
 
 // batchDoc accepts either a bare JSON string or {"id": ..., "text": ...}.
@@ -559,13 +522,14 @@ func (d *batchDoc) UnmarshalJSON(data []byte) error {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	det := s.handle.Detector()
-	body, err := s.readBody(w, r)
-	if err != nil {
+	sc := getScratch(0)
+	defer putScratch(sc)
+	if err := s.readBody(w, r, sc); err != nil {
 		httpReadError(w, err)
 		return
 	}
 	var reqDocs []batchDoc
-	if err := json.Unmarshal(body, &reqDocs); err != nil {
+	if err := json.Unmarshal(sc.buf, &reqDocs); err != nil {
 		jsonError(w, http.StatusBadRequest, "body must be a JSON array of documents: "+err.Error())
 		return
 	}
@@ -582,19 +546,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *endpoin
 	st.bytes.Add(bytes)
 	st.docs.Add(int64(len(docs)))
 	var counts []int
-	nLangs := len(det.Languages())
+	langs := det.Languages()
 	if s.cfg.IncludeCounts {
-		counts = make([]int, len(docs)*nLangs)
+		counts = make([]int, len(docs)*len(langs))
 	}
-	out := make([]Detection, len(docs))
+	// The documents were copied out of the body, so the response reuses
+	// its buffer.
+	b := append(sc.buf[:0], '[')
 	for i, m := range det.DetectBatchCounts(docs, counts) {
-		var row []int
+		d := detection{id: reqDocs[i].ID, m: m, langs: langs}
 		if counts != nil {
-			row = counts[i*nLangs : (i+1)*nLangs]
+			d.counts = counts[i*len(langs) : (i+1)*len(langs)]
 		}
-		out[i] = s.detection(det, reqDocs[i].ID, m, row, st)
+		if m.Unknown {
+			st.unknown.Add(1)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendDetection(b, &d)
 	}
-	writeJSON(w, out)
+	sc.buf = append(b, "]\n"...)
+	writeBody(w, sc.buf)
 }
 
 // handleStream reads NDJSON documents (one JSON string or {id, text}
@@ -626,68 +599,97 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, st *endpoi
 	// HTTP/1 the server would otherwise cut off the request body at the
 	// first flush.
 	http.NewResponseController(w).EnableFullDuplex()
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	var ds *core.Stream
 	if spanStream == nil {
 		ds = det.NewStream()
 	}
-	// counts receives each line's per-language counts; they go on the
-	// wire only when IncludeCounts asks for them.
-	counts := make([]int, len(det.Languages()))
+	// sc.counts receives each line's per-language counts; they go on the
+	// wire only when IncludeCounts asks for them. sc.buf holds the
+	// result line being written.
+	langs := det.Languages()
+	sc := getScratch(len(langs))
+	defer putScratch(sc)
 	var wireCounts []int
 	if s.cfg.IncludeCounts {
-		wireCounts = counts
+		wireCounts = sc.counts
 	}
-	sc := bufio.NewScanner(r.Body)
+	writeLine := func(d *detection) {
+		sc.buf = append(appendDetection(sc.buf[:0], d), '\n')
+		w.Write(sc.buf)
+	}
+	lines := bufio.NewScanner(r.Body)
 	// Scanner's effective cap is max(cap(buf), max), so the initial
 	// buffer must not exceed the configured line limit.
 	bufCap := 64 << 10
 	if s.cfg.MaxLineBytes < bufCap {
 		bufCap = s.cfg.MaxLineBytes
 	}
-	sc.Buffer(make([]byte, 0, bufCap), s.cfg.MaxLineBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
+	lines.Buffer(make([]byte, 0, bufCap), s.cfg.MaxLineBytes)
+	for lines.Scan() {
+		line := lines.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var doc batchDoc
 		if err := json.Unmarshal(line, &doc); err != nil {
-			enc.Encode(Detection{Error: "bad document line: " + err.Error()})
+			writeLine(&detection{err: "bad document line: " + err.Error()})
 			continue
 		}
 		st.bytes.Add(int64(len(doc.Text)))
 		st.docs.Add(1)
-		var m core.Match
-		var spans []core.Span
+		d := detection{id: doc.ID, langs: langs, counts: wireCounts}
 		if spanStream != nil {
 			spanStream.Reset()
 			io.WriteString(spanStream, doc.Text)
-			spans = spanStream.Finish()
-			m = spanStream.MatchCounts(counts)
+			d.spans = spanStream.Finish()
+			d.m = spanStream.MatchCounts(sc.counts)
+			st.spans.Add(int64(len(d.spans)))
 		} else {
 			ds.Reset()
 			io.WriteString(ds, doc.Text)
-			m = ds.MatchCounts(counts)
+			d.m = ds.MatchCounts(sc.counts)
 		}
-		d := s.detection(det, doc.ID, m, wireCounts, st)
-		if spanStream != nil {
-			d.Spans = spanDetections(spans, st)
+		if d.m.Unknown {
+			st.unknown.Add(1)
 		}
-		enc.Encode(d)
+		writeLine(&d)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lines.Err(); err != nil {
 		// Headers are long gone; report the failure in-band and stop.
 		msg := err.Error()
 		if errors.Is(err, bufio.ErrTooLong) {
 			msg = fmt.Sprintf("document line exceeds %d bytes", s.cfg.MaxLineBytes)
 		}
-		enc.Encode(Detection{Error: msg})
+		writeLine(&detection{err: msg})
+		drainBody(w, r.Body)
 	}
+}
+
+// streamDrainBytes bounds how much of an abandoned /stream body the
+// handler reads and discards before it gives the connection up.
+const streamDrainBytes = 1 << 20
+
+// drainBody discards what is left of a full-duplex request body that
+// the handler stops reading early. net/http (go1.24) would discard it
+// only after the handler returns, and when that discard reaches EOF it
+// starts a background read that collides with the server's read of the
+// next request ("invalid concurrent Body.Read call"), so the handler
+// reads to EOF itself. A remainder over streamDrainBytes trips a
+// MaxBytesReader on the server's own ResponseWriter, which marks the
+// connection to close after this response instead.
+func drainBody(w http.ResponseWriter, body io.ReadCloser) {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	io.Copy(io.Discard, http.MaxBytesReader(w, body, streamDrainBytes))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, st *endpointStats) {
@@ -748,19 +750,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errorBody is the JSON envelope every failed request is answered
-// with.
-type errorBody struct {
-	Error  string `json:"error"`
-	Status int    `json:"status"`
+// writeBody sends one JSON response encoded by the appenders.
+func writeBody(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
 }
 
-// jsonError writes a JSON error response with the given status.
+// jsonError writes the JSON error envelope {"error": msg, "status":
+// status} every failed request is answered with.
 func jsonError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: msg, Status: status})
+	sc := getScratch(0)
+	sc.buf = appendError(sc.buf[:0], msg, status)
+	w.Write(sc.buf)
+	putScratch(sc)
 }
 
 // httpReadError maps body-read failures to statuses: the MaxBytesReader

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -260,20 +261,72 @@ func TestStreamReportsBadLinesInBand(t *testing.T) {
 	}
 }
 
+// lockedBuffer is an io.Writer safe for the server's connection
+// goroutines, for capturing http.Server.ErrorLog.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamLineTooLong checks that an over-long /stream line ends the
+// stream with one in-band error, and that the server survives the
+// abandoned rest of the body: net/http must log no "panic serving",
+// whether the rest is short (the handler drains it and the connection
+// stays usable) or longer than the handler's 1 MiB drain bound (the
+// connection closes after the response).
 func TestStreamLineTooLong(t *testing.T) {
-	ts, _ := newTestServer(t, serve.Config{MaxLineBytes: 256})
-	line, _ := json.Marshal(map[string]string{"text": strings.Repeat("abcdefg ", 200)})
-	resp, err := http.Post(ts.URL+"/stream", "application/x-ndjson", bytes.NewReader(append(line, '\n')))
+	_, ps := fixtures(t)
+	srv, err := serve.New(ps, serve.Config{MaxLineBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var d serve.Detection
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		t.Fatal(err)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	var serverLog lockedBuffer
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+	defer ts.Close()
+	for _, c := range []struct {
+		name string
+		text string
+	}{
+		{"short remainder", strings.Repeat("abcdefg ", 200)},
+		// Past the bound by less than net/http's own 256 KiB discard,
+		// which would otherwise reach EOF after the handler returns.
+		{"remainder over the drain bound", strings.Repeat("abcdefg ", (1<<20+64<<10)/8)},
+	} {
+		line, _ := json.Marshal(map[string]string{"text": c.text})
+		// Three requests on one client: a connection left out of step
+		// with its request stream fails the next one.
+		for i := 0; i < 3; i++ {
+			resp, err := ts.Client().Post(ts.URL+"/stream", "application/x-ndjson", bytes.NewReader(append(line, '\n')))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			var d serve.Detection
+			err = json.NewDecoder(resp.Body).Decode(&d)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !strings.Contains(d.Error, "exceeds 256 bytes") {
+				t.Errorf("%s: oversized line error = %+v", c.name, d)
+			}
+		}
 	}
-	if !strings.Contains(d.Error, "exceeds 256 bytes") {
-		t.Errorf("oversized line error = %+v", d)
+	if strings.Contains(serverLog.String(), "panic serving") {
+		t.Errorf("server log:\n%s", serverLog.String())
 	}
 }
 
